@@ -185,15 +185,47 @@ def _gemm_shape_to_dict(shape: GemmShape) -> dict:
     }
 
 
-def _gemm_shape_from_dict(data: dict) -> GemmShape:
-    return GemmShape(
-        m=int(data["m"]),
-        k=int(data["k"]),
-        n=int(data["n"]),
-        repeats=int(data["repeats"]),
-        weight_is_dynamic=bool(data["weight_is_dynamic"]),
-        channels=int(data["channels"]),
+#: Distinct shapes one cache instance interns before starting over (a
+#: bound on memory for a long-lived server fed ever-new workloads).
+_SHAPE_INTERN_LIMIT = 4096
+
+
+def _gemm_shape_from_dict(data: dict, shapes: dict[tuple, GemmShape]) -> GemmShape:
+    """Decode one shape, interned in ``shapes`` by its raw value tuple.
+
+    A network entry repeats a few distinct shapes many times, and building
+    plus validating a :class:`GemmShape` dominated decoding.  With an
+    intern table each distinct tuple is converted and validated once; a
+    repeat returns the same (immutable) shape.  Raw values that compare
+    equal convert to equal shapes, so interning never changes a result;
+    an unhashable raw value (a tampered entry) raises ``TypeError`` and
+    the entry counts as corrupt.
+    """
+    raw = (
+        data["m"], data["k"], data["n"],
+        data["repeats"], data["weight_is_dynamic"], data["channels"],
     )
+    shape = shapes.get(raw)
+    if shape is None:
+        if len(shapes) >= _SHAPE_INTERN_LIMIT:
+            shapes.clear()
+        shape = shapes[raw] = GemmShape(
+            m=int(raw[0]),
+            k=int(raw[1]),
+            n=int(raw[2]),
+            repeats=int(raw[3]),
+            weight_is_dynamic=bool(raw[4]),
+            channels=int(raw[5]),
+        )
+    return shape
+
+
+def _check_entry(data: object, version: int, what: str) -> None:
+    """Reject a decoded entry that is not an object of ``version``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is a JSON {type(data).__name__}, not an object")
+    if data.get("v") != version:
+        raise ValueError(f"unsupported {what} version: {data.get('v')!r}")
 
 
 def result_to_dict(result: LayerSimResult) -> dict:
@@ -215,13 +247,19 @@ def result_to_dict(result: LayerSimResult) -> dict:
     }
 
 
-def result_from_dict(data: dict) -> LayerSimResult:
-    """Inverse of :func:`result_to_dict`; raises on any malformed entry."""
-    if data.get("v") != ENTRY_VERSION:
-        raise ValueError(f"unsupported cache entry version: {data.get('v')!r}")
+def result_from_dict(
+    data: dict, shapes: dict[tuple, GemmShape] | None = None
+) -> LayerSimResult:
+    """Inverse of :func:`result_to_dict`; raises on any malformed entry.
+
+    ``shapes`` is an intern table for the decoded GEMM shapes that callers
+    may share across calls (see :func:`_gemm_shape_from_dict`).
+    """
+    _check_entry(data, ENTRY_VERSION, "cache entry")
+    shapes = {} if shapes is None else shapes
     gemms = tuple(
         GemmSimResult(
-            shape=_gemm_shape_from_dict(g["shape"]),
+            shape=_gemm_shape_from_dict(g["shape"], shapes),
             cycles=float(g["cycles"]),
             dense_cycles=int(g["dense_cycles"]),
             sampled_passes=int(g["sampled_passes"]),
@@ -249,19 +287,19 @@ def network_result_to_dict(result: NetworkSimResult) -> dict:
     }
 
 
-def network_result_from_dict(data: dict) -> NetworkSimResult:
+def network_result_from_dict(
+    data: dict, shapes: dict[tuple, GemmShape] | None = None
+) -> NetworkSimResult:
     """Inverse of :func:`network_result_to_dict`; raises on malformed entries."""
-    if data.get("v") != NETWORK_ENTRY_VERSION:
-        raise ValueError(
-            f"unsupported network cache entry version: {data.get('v')!r}"
-        )
+    _check_entry(data, NETWORK_ENTRY_VERSION, "network cache entry")
+    shapes = {} if shapes is None else shapes
     return NetworkSimResult(
         network=str(data["network"]),
         config=str(data["config"]),
         category=ModelCategory(data["category"]),
         cycles=float(data["cycles"]),
         dense_cycles=int(data["dense_cycles"]),
-        layers=tuple(result_from_dict(layer) for layer in data["layers"]),
+        layers=tuple(result_from_dict(layer, shapes) for layer in data["layers"]),
     )
 
 
@@ -284,6 +322,7 @@ class PersistentLayerCache:
     def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stats = CacheStats()
+        self._shapes: dict[tuple, GemmShape] = {}
 
     @property
     def layers_dir(self) -> Path:
@@ -312,8 +351,8 @@ class PersistentLayerCache:
         except OSError:
             return None
         try:
-            return decode(json.loads(text))
-        except (ValueError, KeyError, TypeError):
+            return decode(json.loads(text), self._shapes)
+        except (ValueError, KeyError, TypeError, OverflowError):
             # Corrupt or stale-schema entry: drop it and recompute.
             try:
                 path.unlink()

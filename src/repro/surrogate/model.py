@@ -67,7 +67,7 @@ from repro.surrogate.store import (
     SurrogateConstants,
     load_constants,
 )
-from repro.workloads.models import Network, NetworkLayer, network_fingerprint
+from repro.workloads.models import Network, NetworkLayer
 from repro.workloads.registry import WorkloadLike, parse_workload
 
 
@@ -406,7 +406,7 @@ class SurrogateModel:
         )
         options = options or SimulationOptions()
         regime = self.regime_for(options)
-        workload = network_fingerprint(net)
+        workload = net.fingerprint
         cycles = 0.0
         dense = 0
         for layer in net.layers:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from repro.gemm.layers import (
@@ -99,10 +99,73 @@ class Network:
         kept = sum(layer.act_volume * layer.act_density for layer in relu_fed)
         return 1.0 - kept / volume if volume else 0.0
 
+    @cached_property
+    def key_content(self) -> "NetworkKeyContent":
+        """The workload-side content of every key, built once per instance.
+
+        Lowering every layer to GEMMs and hashing the fingerprint was most
+        of what a warm :func:`repro.sim.engine.network_key` cost, and a
+        frozen network's content never changes, so it is memoized on the
+        instance (never in a module-global table).  Equality, hashing and
+        pickling ignore it: it is not a field, and :meth:`__getstate__`
+        drops it.
+        """
+        return _network_key_content(self)
+
     @property
     def fingerprint(self) -> str:
         """Stable content hash of the workload (see :func:`network_fingerprint`)."""
-        return network_fingerprint(self)
+        return self.key_content.fingerprint
+
+    def __getstate__(self) -> dict:
+        """Pickle the fields only; the receiver rebuilds the memo on demand."""
+        state = dict(self.__dict__)
+        state.pop("key_content", None)
+        return state
+
+
+@dataclass(frozen=True)
+class LayerKeyContent:
+    """One layer as keys see it: display name, GEMM content, densities."""
+
+    name: str
+    gemms: str
+    weight_density: float
+    act_density: float
+
+    @property
+    def content(self) -> str:
+        """The layer's line of the fingerprint (see :func:`layer_content`)."""
+        return (
+            f"{self.name}|{self.gemms}"
+            f"|{self.weight_density!r}|{self.act_density!r}"
+        )
+
+
+@dataclass(frozen=True)
+class NetworkKeyContent:
+    """A network's fingerprint plus the per-layer content keys embed."""
+
+    fingerprint: str
+    layers: tuple[LayerKeyContent, ...]
+
+
+def _layer_key_content(layer: NetworkLayer) -> LayerKeyContent:
+    return LayerKeyContent(
+        layer.name,
+        gemm_content(layer.spec.gemms()),
+        layer.weight_density,
+        layer.act_density,
+    )
+
+
+def _network_key_content(network: Network) -> NetworkKeyContent:
+    """Build :attr:`Network.key_content` from scratch (lowers every layer)."""
+    layers = tuple(_layer_key_content(layer) for layer in network.layers)
+    parts = [network.name]
+    parts.extend(layer.content for layer in layers)
+    fingerprint = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return NetworkKeyContent(fingerprint, layers)
 
 
 def gemm_content(gemms: Iterable[GemmShape]) -> str:
@@ -120,10 +183,7 @@ def gemm_content(gemms: Iterable[GemmShape]) -> str:
 
 def layer_content(layer: NetworkLayer) -> str:
     """Canonical serialization of one layer: name, GEMMs, densities."""
-    return (
-        f"{layer.name}|{gemm_content(layer.spec.gemms())}"
-        f"|{layer.weight_density!r}|{layer.act_density!r}"
-    )
+    return _layer_key_content(layer).content
 
 
 def network_fingerprint(network: Network) -> str:
@@ -135,11 +195,10 @@ def network_fingerprint(network: Network) -> str:
     fingerprint is stable across processes and sessions, and any edit to a
     layer or a density produces a new fingerprint; it feeds
     :func:`repro.sim.engine.network_key`, so user-defined workloads cache
-    correctly without name collisions.
+    correctly without name collisions.  Memoized per instance through
+    :attr:`Network.key_content`.
     """
-    parts = [network.name]
-    parts.extend(layer_content(layer) for layer in network.layers)
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return network.key_content.fingerprint
 
 
 _DENSITY_FLOOR = 0.05

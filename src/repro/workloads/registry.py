@@ -40,7 +40,6 @@ from repro.workloads.models import (
     googlenet,
     inception_v3,
     mobilenet_v2,
-    network_fingerprint,
     resnet50,
 )
 
@@ -88,7 +87,7 @@ class Workload:
     @property
     def fingerprint(self) -> str:
         """Content fingerprint of the built network (layers + densities)."""
-        return network_fingerprint(self.network)
+        return self.network.fingerprint
 
     def categories(self) -> tuple[ModelCategory, ...]:
         """Model categories this workload can exercise.

@@ -194,6 +194,48 @@ class TestCorruptionFallback:
         assert fresh.stats.layer_errors > 0
         assert fresh.stats.hits == 0
 
+    @pytest.mark.parametrize(
+        "payload", ["[]", "null", "1", '"x"'], ids=["list", "null", "number", "string"]
+    )
+    def test_non_object_network_entry_falls_back(
+        self, cold_engine, tmp_path, payload
+    ):
+        """Valid JSON that is not an object is corrupt, not a crash."""
+        cache = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(cache)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        path = cache.network_path_for(key_of())
+        path.write_text(payload)
+
+        engine.clear_memo_cache()
+        fresh = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(fresh)
+        assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS) == first
+        assert fresh.stats.network_errors == 1
+        assert fresh.stats.network_misses == 1
+        assert fresh.stats.layer_hits > 0 and fresh.stats.layer_misses == 0
+        assert fresh.stats.network_puts == 1
+        assert json.loads(path.read_text())["network"] == NETWORK.name
+
+    @pytest.mark.parametrize("payload", [[], None, 1, "x"])
+    def test_non_object_layer_inside_network_entry_falls_back(
+        self, cold_engine, tmp_path, payload
+    ):
+        cache = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(cache)
+        first = simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS)
+        path = cache.network_path_for(key_of())
+        entry = json.loads(path.read_text())
+        entry["layers"][-1] = payload
+        path.write_text(json.dumps(entry))
+
+        engine.clear_memo_cache()
+        fresh = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(fresh)
+        assert simulate_network(NETWORK, CONFIG, ModelCategory.B, OPTIONS) == first
+        assert fresh.stats.network_errors == 1
+        assert fresh.stats.network_puts == 1
+
     def test_wrong_network_schema_version_is_a_miss(self, cold_engine, tmp_path):
         cache = PersistentLayerCache(tmp_path)
         engine.set_persistent_cache(cache)

@@ -132,6 +132,71 @@ class TestPersistentRoundTrip:
         assert fresh.stats.puts == 1  # the repaired entry went back to disk
         assert json.loads(path.read_text())["dense_cycles"] == first.dense_cycles
 
+    @pytest.mark.parametrize(
+        "payload", ["[]", "null", "1", '"x"'], ids=["list", "null", "number", "string"]
+    )
+    def test_non_object_entry_recomputes(self, isolated_engine, tmp_path, payload):
+        """Valid JSON that is not an object is corrupt, not a crash."""
+        layer = small_layer()
+        cache = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(cache)
+        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        path = cache.path_for(key_of(layer))
+        path.write_text(payload)
+
+        engine.clear_memo_cache()
+        fresh = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(fresh)
+        assert simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS) == first
+        assert fresh.stats.errors == 1 and fresh.stats.misses == 1
+        assert fresh.stats.puts == 1  # recomputed and rewritten
+        assert json.loads(path.read_text())["dense_cycles"] == first.dense_cycles
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 1e400), ("k", [64]), ("n", 0), ("channels", "x")],
+        ids=["overflow", "list", "invalid", "string"],
+    )
+    def test_tampered_shape_recomputes(
+        self, isolated_engine, tmp_path, field, value
+    ):
+        layer = small_layer()
+        cache = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(cache)
+        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        path = cache.path_for(key_of(layer))
+        entry = json.loads(path.read_text())
+        entry["gemms"][0]["shape"][field] = value
+        path.write_text(json.dumps(entry))
+
+        engine.clear_memo_cache()
+        fresh = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(fresh)
+        assert simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS) == first
+        assert fresh.stats.errors == 1 and fresh.stats.puts == 1
+
+    def test_decoded_shapes_are_interned_and_equal(self, isolated_engine, tmp_path):
+        layer = NetworkLayer(
+            spec=RawGemmSpec(
+                name="twice",
+                shapes=(GemmShape(m=64, k=256, n=64),) * 2 + (GemmShape(m=8, k=8, n=8),),
+            ),
+            weight_density=0.25,
+            act_density=1.0,
+        )
+        cache = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(cache)
+        first = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+
+        engine.clear_memo_cache()
+        reader = PersistentLayerCache(tmp_path)
+        engine.set_persistent_cache(reader)
+        second = simulate_layer(layer, CONFIG, ModelCategory.B, OPTIONS)
+        assert second == first
+        shapes = [g.shape for g in second.gemms]
+        assert shapes == [g.shape for g in first.gemms]
+        assert shapes[0] is shapes[1] and shapes[2] is not shapes[0]
+
     def test_wrong_schema_version_is_a_miss(self, isolated_engine, tmp_path):
         layer = small_layer()
         cache = PersistentLayerCache(tmp_path)
