@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -48,7 +48,9 @@ from repro.workloads.models import (
     gemm_content,
 )
 from repro.workloads.sparsity import (
+    ActFactorField,
     SparsityProfile,
+    WeightFactorField,
     act_profile,
     activation_tile_mask,
     sample_act_field,
@@ -313,32 +315,65 @@ def _sampled_passes(
     passes_per_gemm: int,
     max_t_steps: int,
 ) -> tuple:
-    """Sampled ``(a_mask, b_mask)`` pass tiles for one GEMM, memoized.
+    """Sampled pass tiles ``(single, dual)`` for one GEMM, memoized.
+
+    Each family is a tuple of ``(a_mask, b_mask)`` pairs.  With
+    ``weights``, ``single`` is the weight-only family and ``dual`` the
+    dual-sparse family over ``activations`` -- the *layer's* activation
+    profile, whichever category asked -- or ``None`` when the layer's
+    activations are dense.  Without ``weights``, ``single`` is the
+    activation-only family and ``dual`` is ``None``.
 
     The whole draw sequence -- factor fields, pass selection, tile masks
     -- is a pure function of these arguments and crucially does *not*
-    depend on the scheduling config, so a design-space sweep redraws
-    byte-identical tiles for every design point.  Sampling the factor
-    fields (millions of gamma variates per GEMM) dominated sweep profiles
-    once scheduling was vectorized; memoizing turns every re-visit into a
-    lookup.  The rng is local, so a cache hit leaves no stream behind.
-    The cached masks are read-only by contract (every consumer copies
-    before mutating).
+    depend on the scheduling config or the model category, so every
+    design point and category re-visiting a GEMM reads the same entry.
+    The weight factor field (up to millions of gamma variates) is drawn
+    once per entry: the generator's state is saved after the draw and
+    rewound before the dual family, so each family is byte-identical to
+    an independent draw from ``default_rng(seed)``.  The rng and the
+    fields are local, so a miss leaves neither a stream nor a field
+    behind.  The cached masks are read-only: one entry serves both
+    families and every design.
     """
     rng = np.random.default_rng(seed)
-    grid = tile_grid(gemm, geometry)
-
-    w_field = None
-    if weights:
-        w_field = sample_weight_field(
-            rng, weights, gemm.k, gemm.n, gemm.k_channels, k0=geometry.k0
-        )
-    a_field = None
-    if activations:
+    draw = partial(_draw_passes, rng, gemm, geometry, passes_per_gemm, max_t_steps)
+    if weights is None:
         a_field = sample_act_field(
             rng, activations, gemm.k, gemm.m, gemm.k_channels, k0=geometry.k0
         )
+        return draw(activations=activations, a_field=a_field), None
 
+    w_field = sample_weight_field(
+        rng, weights, gemm.k, gemm.n, gemm.k_channels, k0=geometry.k0
+    )
+    after_weights = rng.bit_generator.state
+    single = draw(weights=weights, w_field=w_field)
+    if activations is None:
+        return single, None
+    rng.bit_generator.state = after_weights
+    a_field = sample_act_field(
+        rng, activations, gemm.k, gemm.m, gemm.k_channels, k0=geometry.k0
+    )
+    dual = draw(
+        weights=weights, w_field=w_field, activations=activations, a_field=a_field
+    )
+    return single, dual
+
+
+def _draw_passes(
+    rng: np.random.Generator,
+    gemm: GemmShape,
+    geometry: "CoreGeometry",
+    passes_per_gemm: int,
+    max_t_steps: int,
+    weights: SparsityProfile | None = None,
+    w_field: WeightFactorField | None = None,
+    activations: SparsityProfile | None = None,
+    a_field: ActFactorField | None = None,
+) -> tuple:
+    """Pick the sampled passes and draw their read-only tile masks."""
+    grid = tile_grid(gemm, geometry)
     n_passes = grid.m_tiles * grid.n_tiles
     samples = min(passes_per_gemm, n_passes)
     pass_ids = rng.choice(n_passes, size=samples, replace=False)
@@ -361,6 +396,7 @@ def _sampled_passes(
                 k_offset=k_start, k_total=gemm.k,
                 n_offset=ni * geometry.n0, n_tile=geometry.n0, n_total=gemm.n,
             )
+            b_mask.setflags(write=False)
         if activations is not None:
             a_mask = activation_tile_mask(
                 rng, activations, a_field,
@@ -368,6 +404,7 @@ def _sampled_passes(
                 k_offset=k_start, k_total=gemm.k,
                 m_offset=mi * geometry.m0, m_tile=geometry.m0, m_total=gemm.m,
             )
+            a_mask.setflags(write=False)
         pairs.append((a_mask, b_mask))
     return tuple(pairs)
 
@@ -387,19 +424,18 @@ def _simulate_gemm(
     sched_config = _scheduling_config(config, sparsity)
 
     seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span(
-            "engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"
-        ):
-            pairs = _sampled_passes(
-                seed, sparsity.weights, sparsity.activations, gemm, geometry,
-                options.passes_per_gemm, options.max_t_steps,
-            )
-    else:
-        pairs = _sampled_passes(
-            seed, sparsity.weights, sparsity.activations, gemm, geometry,
+    # A weight-sparse GEMM keys its entry on the layer's activations, so the
+    # weight-only and dual-sparse families share one weight draw.
+    entry_acts = sparsity.activations
+    if sparsity.weights is not None:
+        entry_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
+    with obs.ACTIVE.span("engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"):
+        single, dual = _sampled_passes(
+            seed, sparsity.weights, entry_acts, gemm, geometry,
             options.passes_per_gemm, options.max_t_steps,
         )
+    both_sides = sparsity.weights is not None and sparsity.activations is not None
+    pairs = dual if both_sides else single
     samples = len(pairs)
     n_passes = grid.m_tiles * grid.n_tiles
     full_t = grid.t_steps
@@ -411,11 +447,7 @@ def _simulate_gemm(
     # paying it per tile.
     drain = min(options.pipeline_drain, max(0, seg_t // 4))
     total_cycles = 0.0
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span("engine.tile_batch", passes=samples):
-            for tile_cycles in _tile_cycles_batch(sched_config, list(pairs)):
-                total_cycles += (tile_cycles + drain) * scale_t
-    else:
+    with obs.ACTIVE.span("engine.tile_batch", passes=samples):
         for tile_cycles in _tile_cycles_batch(sched_config, list(pairs)):
             total_cycles += (tile_cycles + drain) * scale_t
 
@@ -664,34 +696,22 @@ def _compute_layer(
         weight_density=weight_density,
         act_density=act_density,
     )
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
-            return _compute_layer_body(layer, gemms, config, category, options)
-    return _compute_layer_body(layer, gemms, config, category, options)
-
-
-def _compute_layer_body(
-    layer: NetworkLayer,
-    gemms: tuple[GemmShape, ...],
-    config: ArchConfig,
-    category: ModelCategory,
-    options: SimulationOptions,
-) -> LayerSimResult:
     results = []
     cycles = 0.0
     dense = 0
-    for gemm in gemms:
-        res = _simulate_gemm(gemm, layer, config, category, options)
-        gemm_cycles = res.cycles
-        if options.include_stalls and gemm_cycles < res.dense_cycles:
-            gemm_cycles = _apply_stalls(
-                gemm_cycles, gemm, layer, config, category, res.dense_cycles, options
-            )
-            gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
-            res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
-        results.append(res)
-        cycles += res.cycles
-        dense += res.dense_cycles
+    with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
+        for gemm in gemms:
+            res = _simulate_gemm(gemm, layer, config, category, options)
+            gemm_cycles = res.cycles
+            if options.include_stalls and gemm_cycles < res.dense_cycles:
+                gemm_cycles = _apply_stalls(
+                    gemm_cycles, gemm, layer, config, category, res.dense_cycles, options
+                )
+                gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
+                res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
+            results.append(res)
+            cycles += res.cycles
+            dense += res.dense_cycles
     return LayerSimResult(name="layer", cycles=cycles, dense_cycles=dense, gemms=tuple(results))
 
 
@@ -781,19 +801,12 @@ def simulate_network(
     layer_results = []
     cycles = 0.0
     dense = 0
-    if obs.ACTIVE.enabled:
-        with obs.ACTIVE.span(
-            "engine.network_compute",
-            network=network.name,
-            config=config.label,
-            layers=len(network.layers),
-        ):
-            for layer in network.layers:
-                res = simulate_layer(layer, config, category, options)
-                layer_results.append(res)
-                cycles += res.cycles
-                dense += res.dense_cycles
-    else:
+    with obs.ACTIVE.span(
+        "engine.network_compute",
+        network=network.name,
+        config=config.label,
+        layers=len(network.layers),
+    ):
         for layer in network.layers:
             res = simulate_layer(layer, config, category, options)
             layer_results.append(res)
