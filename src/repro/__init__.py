@@ -35,7 +35,6 @@ from repro.api import (
     ExperimentSpec,
     SearchResult,
     Session,
-    run_experiment,
 )
 from repro.core.overhead import HardwareOverhead, overhead_of
 from repro.obs import (
@@ -126,7 +125,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentResult",
     "SearchResult",
-    "run_experiment",
     "SearchSpace",
     "SearchSpec",
     "paper_space",

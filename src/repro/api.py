@@ -71,6 +71,7 @@ from repro.dse.evaluate import (
     EvalSettings,
     as_design,
     evaluate_design,
+    evaluate_designs,
     parse_design,
 )
 from repro.dse.explorer import design_space, space_categories
@@ -655,18 +656,10 @@ class Session:
         progress: ProgressFn | None = None,
     ) -> SweepOutcome:
         before = self._snapshot()
-        evaluations = []
-        tracer = obs.ACTIVE
         with self._scoped():
-            for done, design in enumerate(designs, start=1):
-                with tracer.span(
-                    "evaluate.design", index=done - 1, design=design.label
-                ):
-                    evaluations.append(
-                        evaluate_design(design, categories, settings)
-                    )
-                if progress is not None:
-                    progress(done, len(designs))
+            evaluations = evaluate_designs(
+                designs, categories, settings, progress=progress
+            )
         return SweepOutcome(
             tuple(evaluations), self._absorb(before), self.workers, 1
         )
@@ -919,11 +912,3 @@ class Session:
             save_constants(constants, None if save is True else save)
         return constants
 
-
-def run_experiment(
-    spec: "ExperimentSpec | Mapping | str | os.PathLike",
-    session: Session | None = None,
-    quick: bool | None = None,
-) -> ExperimentResult:
-    """Convenience wrapper: run a spec on ``session`` (or a fresh one)."""
-    return (session or Session()).run(spec, quick=quick)

@@ -15,7 +15,9 @@ from repro.dse.evaluate import (
     GriffinDesign,
     as_design,
     category_speedup,
+    category_speedups,
     evaluate_design,
+    evaluate_designs,
     parse_design,
 )
 from repro.dse.figures import bar_chart, scatter_plot
@@ -36,7 +38,9 @@ __all__ = [
     "as_design",
     "parse_design",
     "category_speedup",
+    "category_speedups",
     "evaluate_design",
+    "evaluate_designs",
     "dominates",
     "pareto_front",
     "pareto_ranks",

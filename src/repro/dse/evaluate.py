@@ -29,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Mapping, Protocol, Sequence, Union, runtime_checkable
+from typing import Callable, Mapping, Protocol, Sequence, Union, runtime_checkable
 
 from repro.baselines.registry import BaselineArch, all_baselines, baseline_names
 from repro.config import (
@@ -52,7 +52,12 @@ from repro.hw.cost import (
     griffin_category_power_mw,
     griffin_cost,
 )
-from repro.sim.engine import SimulationOptions, simulate_network
+from repro.obs import trace as obs
+from repro.sim.engine import (  # simulate_network is re-exported for wrappers
+    SimulationOptions,
+    simulate_network,
+    simulate_network_batch,
+)
 from repro.workloads.registry import (
     BENCHMARKS,
     Workload,
@@ -102,18 +107,37 @@ class EvalSettings:
         return infos
 
 
+def category_speedups(
+    configs: Sequence[ArchConfig],
+    category: ModelCategory,
+    settings: EvalSettings | None = None,
+) -> list[float]:
+    """Geometric-mean end-to-end speedup of each config on one category.
+
+    The engine gets every config at once
+    (:func:`repro.sim.engine.simulate_network_batch`), so each GEMM's
+    sampled passes are scheduled for the whole batch in one kernel call.
+    Each speedup equals that config's :func:`category_speedup`.
+    """
+    settings = settings or EvalSettings()
+    suite = [
+        simulate_network_batch(info.network, configs, category, settings.options)
+        for info in settings.suite(category)
+    ]
+    return [
+        geometric_mean([results[j].speedup for results in suite])
+        for j in range(len(configs))
+    ]
+
+
 def category_speedup(
     config: ArchConfig,
     category: ModelCategory,
     settings: EvalSettings | None = None,
 ) -> float:
-    """Geometric-mean end-to-end speedup of a config on one category."""
-    settings = settings or EvalSettings()
-    speedups = [
-        simulate_network(info.network, config, category, settings.options).speedup
-        for info in settings.suite(category)
-    ]
-    return geometric_mean(speedups)
+    """Geometric-mean end-to-end speedup of a config on one category: a
+    batch of one of :func:`category_speedups`."""
+    return category_speedups([config], category, settings)[0]
 
 
 @dataclass(frozen=True)
@@ -407,23 +431,65 @@ def design_fingerprint(design: DesignLike) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+#: A serial run with a progress callback is cut into about this many
+#: batches, so progress is reported while it runs rather than all at the
+#: end (the parallel runner likewise cuts about four chunks per worker).
+PROGRESS_BATCHES = 4
+
+
+def evaluate_designs(
+    designs: Sequence[DesignLike],
+    categories: Sequence[ModelCategory],
+    settings: EvalSettings | None = None,
+    *,
+    start: int = 0,
+    progress: Callable[[int, int], None] | None = None,
+) -> list[DesignEvaluation]:
+    """Evaluate designs across model categories (the single code path).
+
+    Per category the engine gets every design's configuration at once
+    (:func:`category_speedups`).  Then each design is scored in its own
+    ``evaluate.design`` span (``index`` counts from ``start``) and
+    ``progress(done, total)`` fires once per design, in order.  With a
+    ``progress`` callback the designs go in :data:`PROGRESS_BATCHES`
+    contiguous batches, each design's tick firing as soon as its batch is
+    done.  Results equal evaluating each design alone, whatever the
+    batches.  This is the serial unit of work; the parallel, cache-backed
+    entry point is :meth:`repro.api.Session.evaluate`.
+    """
+    designs = [as_design(design) for design in designs]
+    settings = settings or EvalSettings()
+    total = len(designs)
+    size = total if progress is None else -(-total // PROGRESS_BATCHES)
+    evaluations = []
+    for first in range(0, total, max(size, 1)):
+        batch = designs[first : first + size]
+        speedups = {
+            category: category_speedups(
+                [design.config_for(category) for design in batch], category, settings
+            )
+            for category in categories
+        }
+        for j, design in enumerate(batch):
+            done = first + j + 1
+            with obs.ACTIVE.span(
+                "evaluate.design", index=start + done - 1, design=design.label
+            ):
+                points = tuple(
+                    design.efficiency_point(category, speedups[category][j])
+                    for category in categories
+                )
+                evaluations.append(DesignEvaluation(label=design.label, points=points))
+            if progress is not None:
+                progress(done, total)
+    return evaluations
+
+
 def evaluate_design(
     design: DesignLike,
     categories: Sequence[ModelCategory],
     settings: EvalSettings | None = None,
 ) -> DesignEvaluation:
-    """Evaluate one design across model categories (the single code path).
-
-    This is the serial unit of work; the batched, parallel, cache-backed
-    entry point is :meth:`repro.api.Session.evaluate`.
-    """
-    design = as_design(design)
-    settings = settings or EvalSettings()
-    points = tuple(
-        design.efficiency_point(
-            category,
-            category_speedup(design.config_for(category), category, settings),
-        )
-        for category in categories
-    )
-    return DesignEvaluation(label=design.label, points=points)
+    """Evaluate one design across model categories: a batch of one of
+    :func:`evaluate_designs`."""
+    return evaluate_designs([design], categories, settings)[0]

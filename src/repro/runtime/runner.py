@@ -40,7 +40,7 @@ from repro.dse.evaluate import (
     DesignLike,
     EvalSettings,
     as_design,
-    evaluate_design,
+    evaluate_designs,
 )
 from repro.obs import trace as obs
 from repro.runtime.cache import CacheStats, PersistentLayerCache, default_cache_dir
@@ -85,25 +85,18 @@ def _evaluate_chunk(
     indices, designs, categories, settings, traced = payload
     cache = engine.get_persistent_cache()
     before = cache.stats.snapshot() if isinstance(cache, PersistentLayerCache) else None
-    spans: list[dict] = []
-    if traced:
-        tracer = obs.Tracer()
-        previous = obs.set_tracer(tracer)
-        try:
-            with tracer.span("runner.chunk", first=indices[0], points=len(indices)):
-                evaluations = []
-                for index, design in zip(indices, designs):
-                    with tracer.span("evaluate.design", index=index, design=design.label):
-                        evaluations.append(
-                            evaluate_design(design, categories, settings)
-                        )
-        finally:
-            obs.set_tracer(previous)
-        spans = tracer.export()
-    else:
-        evaluations = [
-            evaluate_design(design, categories, settings) for design in designs
-        ]
+    # Install a local tracer, or explicitly none, so a tracer inherited
+    # from the parent process cannot record into a buffer nobody reads.
+    tracer = obs.Tracer() if traced else None
+    previous = obs.set_tracer(tracer)
+    try:
+        with obs.ACTIVE.span("runner.chunk", first=indices[0], points=len(indices)):
+            evaluations = evaluate_designs(
+                designs, categories, settings, start=indices[0]
+            )
+    finally:
+        obs.set_tracer(previous)
+    spans = tracer.export() if tracer is not None else []
     if before is not None:
         stats = cache.stats.delta(before)
     else:
@@ -264,20 +257,13 @@ class SweepRunner:
         progress: ProgressFn | None,
     ) -> SweepOutcome:
         cache = PersistentLayerCache(self.cache_dir) if self.cache_dir is not None else None
-        tracer = obs.ACTIVE
         # Install the runner's cache -- or explicitly none, so a previously
         # installed global cache cannot leak into a use_cache=False run.
         with engine.persistent_cache(cache):
-            with tracer.span("runner.serial", points=len(designs)):
-                evaluations = []
-                for done, design in enumerate(designs, start=1):
-                    with tracer.span(
-                        "evaluate.design", index=done - 1, design=design.label
-                    ):
-                        evaluations.append(
-                            evaluate_design(design, categories, settings)
-                        )
-                    self._report(progress, done, len(designs))
+            with obs.ACTIVE.span("runner.serial", points=len(designs)):
+                evaluations = evaluate_designs(
+                    designs, categories, settings, progress=progress
+                )
             stats = cache.stats.snapshot() if cache is not None else CacheStats()
             return SweepOutcome(tuple(evaluations), stats, self.workers, 1)
 

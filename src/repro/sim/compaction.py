@@ -35,17 +35,21 @@ PE borrowing (``d3``) along ``C1``, and ``C2`` indexes independent slot
 groups with no borrowing between them (used by the dual-sparse second phase,
 where ``C1`` is the output-row axis and ``C2`` the output-column axis).
 
-Two scheduler implementations share these semantics exactly:
-:func:`compact_schedule_reference` iterates element by element (the test
-oracle), and :func:`compact_schedule` vectorizes over slots -- with a
-closed-form per-stream recurrence replacing the cycle loop entirely when no
-donor offsets exist (``d2 == d3 == 0``), and, when they do, exact
-idle-cycle skip-ahead plus donor-side claim resolution through the cached
-inverse offset maps (each offset is an injective coordinate shift, so a
-donor can have at most one claimant per round and no arbitration is ever
-needed).  :func:`compact_schedule_batch` runs that same cycle loop once
-over a whole batch of same-geometry tiles, sharing every per-cycle numpy
-dispatch across the batch.  All paths are identical cycle for cycle,
+One kernel implements these semantics: :func:`compact_schedule_batch`
+schedules a batch of same-geometry tiles, each under its own distances, in
+one pass.  Per-stream effectual positions are computed once per *distinct*
+mask, so a sweep that schedules one GEMM's sampled passes for many designs
+pays for them once.  Tiles with donor offsets (``d2`` or ``d3`` nonzero)
+share one cycle loop over the union of their offset rounds, with exact
+idle-cycle skip-ahead and donor-side claim resolution (each offset is an
+injective coordinate shift, so a donor can have at most one claimant per
+round and no arbitration is ever needed); the ``unit``/``tile`` front
+ablations run in the same loop.  Tiles without donors (``d2 == d3 == 0``)
+take a closed-form per-stream recurrence instead, vectorized over the
+whole batch.  Either path can record the per-cycle schedule.
+:func:`compact_schedule` is a batch of one.
+:func:`compact_schedule_reference` iterates element by element and is the
+oracle: the kernel matches it cycle for cycle and schedule for schedule,
 locked by ``tests/test_compaction_properties.py`` and the golden fixtures
 in ``tests/test_engine_golden.py``.
 """
@@ -54,10 +58,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-_INF = np.iinfo(np.int64).max // 2
+#: Padding past a stream's last op.  Positions are ``int32``: half the
+#: memory of a batch-wide position table, and time steps stay far below it.
+_INF = np.iinfo(np.int32).max // 2
 
 
 @dataclass(frozen=True)
@@ -99,49 +106,13 @@ def _offset_priority(d2: int, d3: int) -> tuple[tuple[int, int], ...]:
     return tuple(offsets)
 
 
-@lru_cache(maxsize=512)
-def _donor_maps(
-    lanes: int, c1: int, c2: int, d2: int, d3: int, lane_wrap: bool
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per-offset donor wiring: ``(donor, valid, inv, inv_valid)`` per slot.
-
-    ``donor[r]`` is the stream slot ``r`` borrows from this round (0 where
-    out of range -- gate with ``valid``); ``inv[d]`` is the *receiver* that
-    would borrow from donor ``d`` (0 where none -- gate with ``inv_valid``).
-    Each offset is a coordinate shift, so the donor map is injective: a
-    donor can be claimed by at most one receiver per round, which is why
-    the scheduler needs no claim arbitration and the inverse map is a plain
-    array.  Pure function of the tile geometry and distances, memoized
-    across calls -- the engine schedules thousands of same-shaped tiles per
-    sweep.  The cached arrays are read-only by contract.
-    """
-    n_groups = c1 * c2
-    n_slots = lanes * n_groups
-    slot_ids = np.arange(n_slots)
-    lane_of = slot_ids // n_groups
-    c1_of = (slot_ids // c2) % c1
-    c2_of = slot_ids % c2
-    maps = []
-    for dd2, dd3 in _offset_priority(d2, d3):
-        donor_lane = (lane_of + dd2) % lanes if lane_wrap else lane_of + dd2
-        donor_c1 = c1_of + dd3
-        valid = (donor_lane < lanes) & (donor_c1 < c1)
-        donor = np.where(valid, donor_lane * n_groups + donor_c1 * c2 + c2_of, 0)
-        inv = np.zeros(n_slots, dtype=np.int64)
-        inv_valid = np.zeros(n_slots, dtype=bool)
-        inv[donor[valid]] = slot_ids[valid]
-        inv_valid[donor[valid]] = True
-        maps.append((donor, valid, inv, inv_valid))
-    return tuple(maps)
-
-
 def _check_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.ndim == 3:
         mask = mask[:, :, :, np.newaxis]
     if mask.ndim != 4:
         raise ValueError(f"mask must be 3-D or 4-D [T, L, C1(, C2)], got shape {mask.shape}")
-    return mask.astype(bool)
+    return mask.astype(bool, copy=False)
 
 
 def compact_schedule_reference(
@@ -272,43 +243,142 @@ def compact_schedule_reference(
 
 
 def _stream_positions(
-    flat: np.ndarray, n_slots: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-stream sorted effectual positions, padded with ``_INF``.
+    masks: "list[np.ndarray]", n_slots: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-stream sorted effectual positions of several masks, packed.
 
-    Returns ``(positions, counts, total_ops)`` where ``positions[s, r]`` is
-    the r-th smallest time step carrying an effectual op in stream ``s``.
-    ``np.nonzero`` on the transpose yields entries already in (stream-major,
-    time-ascending) order, and each entry's rank within its stream is pure
-    arithmetic -- no per-stream Python loop, no lexsort.
+    Returns ``(positions, starts, counts)``.  Stream ``s`` of mask ``u`` is
+    stream ``i = u * n_slots + s``: the time steps carrying its effectual
+    ops, in increasing order, are ``positions[starts[i] :][: counts[i]]``,
+    followed by one ``_INF``, so a pointer never runs into the next
+    stream.  Packed rather than padded to the longest stream, the table
+    stays the size of the ops themselves.  ``np.nonzero`` on the
+    transpose yields entries already in (stream-major, time-ascending)
+    order, and each entry's rank within its stream is pure arithmetic --
+    no per-stream Python loop, no lexsort.
     """
-    counts = flat.sum(axis=0)
-    total_ops = int(counts.sum())
-    max_nnz = int(counts.max()) if n_slots else 0
-    positions = np.full((n_slots, max_nnz + 1), _INF, dtype=np.int64)
-    if total_ops:
+    flats = [m.reshape(m.shape[0], n_slots) for m in masks]
+    counts = np.concatenate([flat.sum(axis=0) for flat in flats])
+    starts = np.cumsum(counts + 1) - (counts + 1)
+    positions = np.full(int(counts.sum()) + len(counts), _INF, dtype=np.int32)
+    for u, flat in enumerate(flats):
         s_sorted, t_sorted = np.nonzero(flat.T)
-        starts = np.cumsum(counts) - counts
-        rank = np.arange(total_ops) - np.repeat(starts, counts)
-        positions[s_sorted, rank] = t_sorted
-    return positions, counts, total_ops
+        own = counts[u * n_slots : (u + 1) * n_slots]
+        rank = np.arange(len(s_sorted)) - np.repeat(np.cumsum(own) - own, own)
+        positions[starts[u * n_slots + s_sorted] + rank] = t_sorted
+    return positions, starts, counts
+
+
+def _per_tile(value: "int | Sequence[int]", n_tiles: int) -> np.ndarray:
+    """A distance given once for the whole batch or once per tile."""
+    return np.broadcast_to(np.asarray(value, dtype=np.int64), (n_tiles,))
+
+
+def compact_schedule_batch(
+    masks: "Sequence[np.ndarray]",
+    d1: "int | Sequence[int]" = 0,
+    d2: "int | Sequence[int]" = 0,
+    d3: "int | Sequence[int]" = 0,
+    lane_wrap: bool = True,
+    record: bool = False,
+    front_mode: str = "stream",
+) -> list[CompactionResult]:
+    """Schedule a batch of same-geometry tile masks, each under its own distances.
+
+    The one scheduling kernel: every result equals what
+    :func:`compact_schedule_reference` gives for that mask and its
+    distances, cycle for cycle and (with ``record``) schedule for schedule.
+    Each of ``d1``, ``d2``, ``d3`` is one int for the whole batch or a
+    sequence with one entry per mask.  Masks must agree on ``(L, C1, C2)``;
+    time depths may differ (each tile keeps its own drain horizon).
+
+    Masks are deduplicated by identity, so handing the same array for many
+    designs computes its stream positions once.  Tiles with donor offsets
+    run through one shared cycle loop (:func:`_schedule_borrowing`); tiles
+    with ``d2 == d3 == 0`` take the closed form
+    (:func:`_schedule_no_borrowing`).  With ``record`` each result carries
+    its ``schedule`` (see :class:`CompactionResult`; an empty ``int64``
+    array when no op executes); otherwise ``schedule`` is ``None``.
+    ``front_mode`` ``"unit"`` or ``"tile"`` shares one front pointer per
+    dot-product unit or per tile instead of per stream (ablation studies
+    only; every tile then runs the cycle loop).
+    """
+    if front_mode not in ("stream", "unit", "tile"):
+        raise ValueError(f"unknown front_mode {front_mode!r}")
+    if not masks:
+        return []
+    n_tiles = len(masks)
+    distinct: list[np.ndarray] = []
+    seen: dict[int, int] = {}
+    mask_of = np.empty(n_tiles, dtype=np.int64)
+    for b, mask in enumerate(masks):
+        u = seen.get(id(mask))
+        if u is None:
+            u = seen[id(mask)] = len(distinct)
+            distinct.append(_check_mask(mask))
+        mask_of[b] = u
+    lanes, c1, c2 = distinct[0].shape[1:]
+    for m in distinct[1:]:
+        if m.shape[1:] != (lanes, c1, c2):
+            raise ValueError(
+                f"batched masks must agree on (L, C1, C2): "
+                f"{m.shape[1:]} vs {(lanes, c1, c2)}"
+            )
+    n_slots = lanes * c1 * c2
+    if n_slots == 0:
+        empty = np.array([], dtype=np.int64) if record else None
+        return [CompactionResult(0, 0, 0, 0, schedule=empty) for _ in masks]
+    d1_t, d2_t, d3_t = (_per_tile(d, n_tiles) for d in (d1, d2, d3))
+
+    depths = np.array([m.shape[0] for m in distinct], dtype=np.int64)
+    positions, starts, counts = _stream_positions(distinct, n_slots)
+    ops = counts.reshape(len(distinct), n_slots).sum(axis=1)[mask_of]
+
+    results: list[CompactionResult] = [None] * n_tiles  # type: ignore[list-item]
+    no_donors = (d2_t == 0) & (d3_t == 0) & (front_mode == "stream")
+    for tiles in (np.flatnonzero(no_donors), np.flatnonzero(~no_donors)):
+        if len(tiles) == 0:
+            continue
+        streams = (mask_of[tiles, np.newaxis] * n_slots + np.arange(n_slots)).ravel()
+        depth = depths[mask_of[tiles]]
+        if no_donors[tiles[0]]:
+            out = _schedule_no_borrowing(
+                positions, starts[streams], counts[streams], depth, d1_t[tiles],
+                n_slots, record,
+            )
+        else:
+            out = _schedule_borrowing(
+                positions, starts[streams], int(ops[tiles].sum()), depth, d1_t[tiles],
+                (lanes, c1, c2), _batch_rounds(d2_t[tiles], d3_t[tiles]),
+                lane_wrap, record, front_mode,
+            )
+        for b, cycles, busy, borrowed, schedule in zip(tiles, *out):
+            results[b] = CompactionResult(
+                cycles=int(cycles),
+                busy_cycles=int(busy),
+                executed_ops=int(ops[b]),
+                borrowed_ops=int(borrowed),
+                schedule=schedule,
+            )
+    return results
 
 
 def _schedule_no_borrowing(
     positions: np.ndarray,
-    counts: np.ndarray,
-    total_ops: int,
-    t_steps: int,
+    offsets: np.ndarray,
+    stream_counts: np.ndarray,
+    depth: np.ndarray,
+    d1_tile: np.ndarray,
     n_slots: int,
-    d1: int,
     record: bool,
-) -> CompactionResult:
-    """Closed-form scheduling for ``d2 == d3 == 0`` with per-stream fronts.
+) -> tuple:
+    """Closed-form scheduling for tiles with ``d2 == d3 == 0``.
 
     With no donor offsets the streams are fully independent, so the cycle
     loop collapses to a recurrence over each stream's op ranks, evaluated
-    vectorized across streams.  With window ``w = 1 + d1``, the op of rank
-    ``r`` at position ``p_r`` executes at
+    vectorized across every stream of every tile.  With window
+    ``w = 1 + d1`` (per tile), the op of rank ``r`` at position ``p_r``
+    executes at
 
         ``c_r = c_{r-1} + 1 + k_r``,  ``k_r = max(0, ceil((p_r - d1 - g_{r-1}) / w))``
 
@@ -322,44 +392,277 @@ def _schedule_no_borrowing(
     prefix -- the front is *held* at the gap's start, it does not free-run.
     After a stream's last op its front does free-run at ``w`` per cycle, so
     the drain tail folds into ``c_s + ceil((T - g_s) / w)`` per stream,
-    bounded below by the globally last execution cycle.
+    bounded below by the tile's last execution cycle.
+
+    Stream ``s`` of the sub-batch starts at ``positions[offsets[s]]`` and
+    holds ``stream_counts[s]`` ops.  Returns per-tile ``(cycles,
+    busy_cycles, borrowed_ops, schedules)``.
     """
-    window = 1 + d1
-    cycles_of = np.zeros(n_slots, dtype=np.int64)
-    fronts = np.zeros(n_slots, dtype=np.int64)
-    max_nnz = positions.shape[1] - 1
+    n_tiles = len(depth)
+    window = np.repeat(1 + d1_tile, n_slots)
+    d1 = window - 1
+    tile_of = np.repeat(np.arange(n_tiles), n_slots)
+    local = np.tile(np.arange(n_slots, dtype=np.int32), n_tiles)
+    cycles_of = np.zeros(len(offsets), dtype=np.int64)
+    fronts = np.zeros(len(offsets), dtype=np.int64)
     # Execution cycles never exceed T (borrowing is never slower than
     # dense -- an invariant the property suite asserts for every draw), so
     # T-sized scatter targets cover every cycle index.
-    busy = np.zeros(t_steps + 1, dtype=bool)
-    schedule = np.full((t_steps, n_slots), -1, dtype=np.int64) if record else None
-    slot_ids = np.arange(n_slots)
-    for r in range(max_nnz):
-        active = counts > r
-        pos = positions[:, r]
-        wait = np.where(active, np.maximum(-((d1 + fronts - pos) // window), 0), 0)
-        cycles_of = np.where(active, cycles_of + 1 + wait, cycles_of)
-        held = np.minimum(pos, fronts + wait * window)
-        fronts = np.where(active, np.minimum(positions[:, r + 1], held + window), fronts)
-        act_slots = slot_ids[active]
-        act_cycles = cycles_of[act_slots]
-        busy[act_cycles] = True
+    t_max = int(depth.max())
+    busy = np.zeros((n_tiles, t_max + 1), dtype=bool)
+    schedule = np.full((n_tiles, t_max, n_slots), -1, dtype=np.int32) if record else None
+    live = np.flatnonzero(stream_counts)
+    rank = 0
+    while len(live):
+        at = offsets[live] + rank
+        pos = positions[at]
+        front = fronts[live]
+        w = window[live]
+        wait = np.maximum(-((d1[live] + front - pos) // w), 0)
+        cyc = cycles_of[live] + 1 + wait
+        cycles_of[live] = cyc
+        held = np.minimum(pos, front + wait * w)
+        fronts[live] = np.minimum(positions[at + 1], held + w)
+        busy[tile_of[live], cyc] = True
         if record:
-            schedule[act_cycles - 1, act_slots] = pos[act_slots] * n_slots + act_slots
-    last_cycle = int(cycles_of.max()) if total_ops else 0
-    drained = cycles_of + np.maximum(-((fronts - t_steps) // window), 0)
-    cycles = max(last_cycle, int(drained.max()))
+            schedule[tile_of[live], cyc - 1, local[live]] = pos * n_slots + local[live]
+        rank += 1
+        live = live[stream_counts[live] > rank]
+    last = cycles_of.reshape(n_tiles, n_slots).max(axis=1)
+    drained = cycles_of + np.maximum(-((fronts - np.repeat(depth, n_slots)) // window), 0)
+    cycles = np.maximum(last, drained.reshape(n_tiles, n_slots).max(axis=1))
     if record:
-        schedule = (
-            schedule[:last_cycle] if last_cycle else np.array([], dtype=np.int64)
-        )
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=int(busy.sum()),
-        executed_ops=total_ops,
-        borrowed_ops=0,
-        schedule=schedule,
-    )
+        schedules = [
+            schedule[b, : last[b]].astype(np.int64) if last[b] else np.array([], dtype=np.int64)
+            for b in range(n_tiles)
+        ]
+    else:
+        schedules = [None] * n_tiles
+    return cycles, busy.sum(axis=1), np.zeros(n_tiles, dtype=np.int64), schedules
+
+
+def _batch_rounds(
+    d2_tile: np.ndarray, d3_tile: np.ndarray
+) -> list[tuple[int, int, np.ndarray | None]]:
+    """The donor rounds of a batch: the union of the tiles' offsets.
+
+    Returns ``(dd2, dd3, has)`` in priority order, where ``has`` masks the
+    tiles that own the offset (``None`` when all do).  The priority order
+    is total, so every tile still sees its own offsets in its own order.
+    """
+    rounds = []
+    for dd2, dd3 in _offset_priority(int(d2_tile.max()), int(d3_tile.max())):
+        has = (d2_tile >= dd2) & (d3_tile >= dd3)
+        if has.all():
+            rounds.append((dd2, dd3, None))
+        elif has.any():
+            rounds.append((dd2, dd3, has[:, np.newaxis, np.newaxis, np.newaxis]))
+    return rounds
+
+
+def _shift(
+    src: np.ndarray, out: np.ndarray, dd2: int, dd3: int, lane_wrap: bool, to_receiver: bool
+) -> None:
+    """Move per-slot values along one donor offset, on ``[B, L, C1, C2]`` views.
+
+    Slot ``(l, i)`` borrows from donor ``(l + dd2, i + dd3)`` (the lane
+    wrapping inside the unit under ``lane_wrap``).  With ``to_receiver``
+    each receiver gets its donor's value; otherwise each donor gets its
+    receiver's.  Slots without a partner get 0.  The offset is a
+    coordinate shift, so this is two slice copies -- no gather.
+    """
+    lanes, c1 = src.shape[1], src.shape[2]
+    out[...] = 0
+    if dd3 >= c1 or (dd2 >= lanes and not lane_wrap):
+        return
+    shift = dd2 % lanes if lane_wrap else dd2
+    recv = (slice(None), slice(0, lanes - shift), slice(0, c1 - dd3))
+    donor = (slice(None), slice(shift, lanes), slice(dd3, c1))
+    if to_receiver:
+        out[recv] = src[donor]
+    else:
+        out[donor] = src[recv]
+    if lane_wrap and shift:
+        recv = (slice(None), slice(lanes - shift, lanes), slice(0, c1 - dd3))
+        donor = (slice(None), slice(0, shift), slice(dd3, c1))
+        if to_receiver:
+            out[recv] = src[donor]
+        else:
+            out[donor] = src[recv]
+
+
+def _schedule_borrowing(
+    positions: np.ndarray,
+    offsets: np.ndarray,
+    total_ops: int,
+    depth: np.ndarray,
+    d1_tile: np.ndarray,
+    geometry: tuple[int, int, int],
+    rounds: list,
+    lane_wrap: bool,
+    record: bool,
+    front_mode: str,
+) -> tuple:
+    """The cycle loop: tiles with donor offsets, or any front mode but ``stream``.
+
+    Every per-cycle quantity is computed over all streams of all tiles at
+    once, and donor claims are resolved on the *donor* side: a donor
+    donates exactly when its receiver is idle and the donor's next op sits
+    inside its own window -- the same test as its phase-1 condition.  So
+    a donation implies phase-1 work in the same tile, a tile is busy in a
+    cycle exactly when it has phase-1 work, and a cycle with no phase-1
+    work anywhere is fully idle: whole runs of such cycles are jumped in
+    closed form (the ``min(earliest, f + w)`` front advance is absorbing
+    under composition).  Each offset is an injective coordinate shift, so
+    a donor has at most one claimant per round and no arbitration is ever
+    needed; the claims move between slots by slice copies (:func:`_shift`).
+
+    Fronts are per stream, per dot-product unit (``unit``: the slots that
+    share ``(C1, C2)``) or per tile; a front advances to the earliest
+    unexecuted op of its group, capped at one window per cycle.
+
+    All tiles start at cycle 0 and share the cycle counter, so a tile's
+    cycle count is the last cycle it was busy in.  After that its fronts
+    free-run at one window per cycle, which lets the drain tail be taken
+    once at the end against each tile's own horizon.
+
+    Stream ``s`` of the sub-batch starts at ``positions[offsets[s]]``.
+    Returns per-tile ``(cycles, busy_cycles, borrowed_ops, schedules)``.
+    """
+    n_tiles = len(depth)
+    n_streams = len(offsets)
+    n_slots = n_streams // n_tiles
+    grid = (n_tiles, *geometry)
+    # Fronts per group: ``per_tile`` groups in each tile, stream s in group
+    # ``group_of[s]`` (``None``: one group per stream).  Per-stream arrays
+    # are few and mostly int32: at batch width each is 100 KB or more, and
+    # the heap keeps a batch's working set resident after the call.
+    per_tile = {"stream": n_slots, "unit": n_slots // geometry[0], "tile": 1}[front_mode]
+    d1 = np.repeat(d1_tile, per_tile).astype(np.int32)
+    group_of = None
+    if per_tile != n_slots:
+        slot = np.arange(n_streams)
+        group_of = slot // n_slots * per_tile + slot % n_slots % per_tile
+    local = np.tile(np.arange(n_slots, dtype=np.int32), n_tiles) if record else None
+
+    def earliest() -> np.ndarray:
+        if group_of is None:
+            return next_pos
+        first = np.full(len(d1), _INF, dtype=np.int32)
+        np.minimum.at(first, group_of, next_pos)
+        return first
+
+    # ``idx`` (taking over ``offsets``) is each stream's pointer into the
+    # packed ``positions``, so every pointer advance is one in-place add
+    # and every stream lookup is one flat gather.  Cycle-frequency
+    # intermediates live in preallocated buffers: at batch width the loop
+    # is allocation-bound before it is compute-bound.
+    idx = offsets
+    next_pos = positions[idx]
+    fronts = np.zeros(len(d1), dtype=np.int32)
+    limit = np.empty(n_streams, dtype=np.int32)
+    own = np.empty(n_streams, dtype=bool)
+    ready = np.empty(n_streams, dtype=bool)
+    idle = np.empty(n_streams, dtype=bool)
+    donates = np.empty(n_streams, dtype=bool)
+    received = np.empty(n_streams, dtype=bool)
+    busy = np.zeros(n_tiles, dtype=np.int64)
+    last = np.zeros(n_tiles, dtype=np.int64)
+    borrowed = np.zeros(n_tiles, dtype=np.int64)
+    pulled = np.empty(n_streams, dtype=np.int32) if record else None
+    chunks: list[np.ndarray] = []
+    cycle = 0
+    remaining = total_ops
+    while remaining:
+        if group_of is None:
+            np.add(fronts, d1, out=limit)
+        else:
+            np.take(fronts + d1, group_of, out=limit)
+        np.less_equal(next_pos, limit, out=own)
+        n_own = int(np.count_nonzero(own))
+        if n_own == 0:
+            # Every stream is idle: jump to the next cycle any group has
+            # window work (exhausted streams sit at _INF).
+            first = earliest()
+            waiting = first < _INF
+            gap = first - fronts
+            gap -= d1
+            jump = int((-((-gap[waiting]) // (d1[waiting] + 1))).min())
+            cycle += jump
+            fronts += d1 * jump
+            fronts += jump
+            np.minimum(first, fronts, out=fronts)
+            if record:
+                chunks.append(np.full((jump, n_streams), -1, dtype=np.int32))
+            continue
+
+        # Phase 1: every slot claims the earliest remaining op of its own
+        # stream that lies inside its window.
+        cycle += 1
+        tile_busy = own.reshape(n_tiles, n_slots).any(axis=1)
+        busy += tile_busy
+        last[tile_busy] = cycle
+        if record:
+            row = np.where(own, next_pos * n_slots + local, -1)
+        remaining -= n_own
+        idx += own
+        np.take(positions, idx, out=next_pos)
+        np.less_equal(next_pos, limit, out=ready)
+        np.logical_not(own, out=idle)
+
+        # Phase 2: one donor claim per offset round, judged against the
+        # donor's own front and its post-phase-1 stream position.
+        for k, (dd2, dd3, has) in enumerate(rounds, start=1):
+            _shift(idle.reshape(grid), donates.reshape(grid), dd2, dd3, lane_wrap, False)
+            if has is not None:
+                donates.reshape(grid)[...] &= has
+            donates &= ready
+            donors = np.flatnonzero(donates)
+            if len(donors) == 0:
+                continue
+            remaining -= len(donors)
+            borrowed += np.bincount(donors // n_slots, minlength=n_tiles)
+            if record or k < len(rounds):
+                _shift(donates.reshape(grid), received.reshape(grid), dd2, dd3, lane_wrap, True)
+            if record:
+                _shift(
+                    (next_pos * n_slots + local).reshape(grid),
+                    pulled.reshape(grid), dd2, dd3, lane_wrap, True,
+                )
+                np.copyto(row, pulled, where=received)
+            idx[donors] += 1
+            next_pos[donors] = positions[idx[donors]]
+            ready[donors] = next_pos[donors] <= limit[donors]
+            if k < len(rounds):
+                np.logical_not(received, out=received)
+                idle &= received
+
+        if record:
+            chunks.append(row[np.newaxis, :])
+        # Front advance: up to the group's earliest unexecuted op, capped
+        # at one window of refill per cycle.
+        fronts += d1
+        fronts += 1
+        np.minimum(earliest(), fronts, out=fronts)
+
+    # Trailing drain: rewind each tile's fronts to its last busy cycle,
+    # then units behind T keep streaming zero slices at window rate and
+    # the tile ends when the slowest one crosses T.  The tail is
+    # ``ceil(behind / w)`` for the furthest-behind group, when positive.
+    window = 1 + d1_tile
+    min_front = fronts.reshape(n_tiles, per_tile).min(axis=1) - (cycle - last) * window
+    cycles = last + np.maximum(-((min_front - depth) // window), 0)
+    if record:
+        rows = np.concatenate(chunks) if chunks else None
+        schedules = [
+            rows[: last[b], b * n_slots : (b + 1) * n_slots].astype(np.int64)
+            if last[b]
+            else np.array([], dtype=np.int64)
+            for b in range(n_tiles)
+        ]
+    else:
+        schedules = [None] * n_tiles
+    return cycles, busy, borrowed, schedules
 
 
 def compact_schedule(
@@ -373,10 +676,9 @@ def compact_schedule(
 ) -> CompactionResult:
     """Schedule a tile mask under borrowing distances ``(d1, d2, d3)``.
 
-    See the module docstring for the execution semantics.  Matches
-    :func:`compact_schedule_reference` cycle for cycle; vectorized over
-    slots (with a closed-form no-donor path and exact idle-cycle skip-ahead
-    on top) so tiles of practical size run in milliseconds.
+    See the module docstring for the execution semantics.  A batch of one
+    of :func:`compact_schedule_batch`, so it matches
+    :func:`compact_schedule_reference` cycle for cycle.
 
     Args:
         mask: boolean effectual-op mask, shape ``[T, L, C1]`` or
@@ -387,459 +689,18 @@ def compact_schedule(
         lane_wrap: whether lane borrowing wraps around inside the
             dot-product unit (the rotation shuffler implies a ring).
         return_schedule: also record which original op each slot executed
-            each cycle (needed by the dual-sparse preprocessing phase).
+            each cycle (needed by the dual-sparse preprocessing phase);
+            without it ``schedule`` is ``None``.
+        front_mode: ``"stream"`` (per-stream fronts, the model), or the
+            ``"unit"``/``"tile"`` ablations.
 
     Returns:
         A :class:`CompactionResult`.
     """
-    mask = _check_mask(mask)
-    t_steps, lanes, c1, c2 = mask.shape
-    window = 1 + d1
-    n_groups = c1 * c2
-    n_slots = lanes * n_groups
-
-    if t_steps == 0 or n_slots == 0:
-        return CompactionResult(0, 0, 0, 0, schedule=np.empty((0, n_slots), np.int64))
-    if front_mode not in ("stream", "unit", "tile"):
-        raise ValueError(f"unknown front_mode {front_mode!r}")
-
-    flat = mask.reshape(t_steps, n_slots)
-    positions, counts, total_ops = _stream_positions(flat, n_slots)
-
-    # No donor offsets + per-stream fronts: the streams are independent and
-    # the whole cycle loop has a closed form.  This is the hot path for
-    # every schedule with d2 == d3 == 0 -- including the Sparse.AB
-    # dense-weight downgrade -- and for the dual-sparse B preprocessing
-    # whenever db2 == db3 == 0 (record mode is supported).
-    if d2 == 0 and d3 == 0 and front_mode == "stream":
-        return _schedule_no_borrowing(
-            positions, counts, total_ops, t_steps, n_slots, d1, return_schedule
-        )
-
-    donor_maps = _donor_maps(lanes, c1, c2, d2, d3, lane_wrap)
-    if front_mode == "stream":
-        return _schedule_borrowing_stream(
-            positions, total_ops, t_steps, n_slots, d1, donor_maps, return_schedule
-        )
-    return _schedule_borrowing_grouped(
-        positions, total_ops, t_steps, n_slots, n_groups, d1,
-        donor_maps, front_mode, return_schedule,
-    )
-
-
-def _schedule_borrowing_stream(
-    positions: np.ndarray,
-    total_ops: int,
-    t_steps: int,
-    n_slots: int,
-    d1: int,
-    donor_maps: tuple,
-    record: bool,
-) -> CompactionResult:
-    """Cycle loop for the default per-stream fronts with donors present.
-
-    Every per-cycle quantity is computed over all ``n_slots`` streams at
-    once (no boolean extraction), and donor claims are resolved on the
-    *donor* side through the cached inverse offset maps: a donor donates
-    exactly when it has a receiver, that receiver is idle, and the donor's
-    next op sits inside its own window -- the same test as its phase-1
-    condition, which is also why a cycle with no phase-1 work is fully idle
-    and whole runs of such cycles can be jumped in closed form (the
-    ``min(earliest, f + w)`` front advance is absorbing under composition).
-    """
-    window = 1 + d1
-    stride = positions.shape[1]
-    pos_flat = positions.ravel()
-    slot_ids = np.arange(n_slots, dtype=np.int64)
-    # ``idx`` fuses stream base offset and per-stream pointer: every
-    # pointer advance is one in-place add, every stream lookup one flat
-    # gather.  Cycle-frequency intermediates live in preallocated buffers.
-    idx = slot_ids * stride
-    next_pos = pos_flat[idx]
-    fronts = np.zeros(n_slots, dtype=np.int64)
-    limit = np.empty(n_slots, dtype=np.int64)
-    own = np.empty(n_slots, dtype=bool)
-    recv_idle = np.empty(n_slots, dtype=bool)
-    scratch = np.empty(n_slots, dtype=bool)
-    scratch2 = np.empty(n_slots, dtype=bool)
-    multi_round = len(donor_maps) > 1
-
-    schedule_chunks: list[np.ndarray] = []
-    cycles = 0
-    busy_cycles = 0
-    borrowed = 0
-    executed = 0
-    while executed < total_ops:
-        np.add(fronts, d1, out=limit)
-        np.less_equal(next_pos, limit, out=own)
-        n_own = int(own.sum())
-        if n_own == 0:
-            waiting = next_pos < _INF
-            gap = (next_pos - d1 - fronts)[waiting]
-            jump = int((-((-gap) // window)).min())
-            cycles += jump
-            fronts += jump * window
-            np.minimum(next_pos, fronts, out=fronts)
-            if record:
-                schedule_chunks.append(np.full((jump, n_slots), -1, dtype=np.int64))
-            continue
-
-        # Phase 1: every slot claims the earliest remaining op of its own
-        # stream that lies inside its window.  The skip-ahead above
-        # guarantees at least one does, so the cycle is busy by definition.
-        cycles += 1
-        busy_cycles += 1
-        if record:
-            row = np.where(own, next_pos * n_slots + slot_ids, np.int64(-1))
-        executed += n_own
-        idx += own
-        np.take(pos_flat, idx, out=next_pos)
-        np.logical_not(own, out=recv_idle)
-
-        # Phase 2: one donor claim per offset round, judged against the
-        # donor's own front and its post-phase-1 stream position.
-        for donor, donor_valid, inv, inv_valid in donor_maps:
-            np.take(recv_idle, inv, out=scratch)
-            scratch &= inv_valid
-            np.less_equal(next_pos, limit, out=scratch2)
-            scratch &= scratch2  # scratch = donates
-            n_d = int(scratch.sum())
-            if n_d == 0:
-                continue
-            if record or multi_round:
-                received = donor_valid & np.take(scratch, donor)
-            if record:
-                vals = next_pos * n_slots + slot_ids
-                row = np.where(received, np.take(vals, donor), row)
-            executed += n_d
-            borrowed += n_d
-            idx += scratch
-            np.take(pos_flat, idx, out=next_pos)
-            if multi_round:
-                recv_idle &= ~received
-                if not recv_idle.any():
-                    break
-
-        if record:
-            schedule_chunks.append(row[np.newaxis, :])
-        # Per-stream front advance: up to the earliest unexecuted op,
-        # capped at one window of refill per cycle (fronts + window is
-        # exactly limit + 1).
-        limit += 1
-        np.minimum(next_pos, limit, out=fronts)
-
-    # Trailing drain: units behind T keep streaming zero slices at window
-    # rate; the tile ends when the slowest one crosses T.
-    behind = fronts < t_steps
-    if behind.any():
-        cycles += int((-((fronts[behind] - t_steps) // window)).max())
-
-    if record:
-        schedule = (
-            np.concatenate(schedule_chunks, axis=0)
-            if schedule_chunks
-            else np.array([], dtype=np.int64)
-        )
-    else:
-        schedule = None
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=busy_cycles,
-        executed_ops=executed,
-        borrowed_ops=borrowed,
-        schedule=schedule,
-    )
-
-
-def _schedule_borrowing_grouped(
-    positions: np.ndarray,
-    total_ops: int,
-    t_steps: int,
-    n_slots: int,
-    n_groups: int,
-    d1: int,
-    donor_maps: tuple,
-    front_mode: str,
-    record: bool,
-) -> CompactionResult:
-    """Cycle loop for the ``unit``/``tile`` front ablation modes.
-
-    Front pointers are shared per dot-product unit or tile-wide, so window
-    limits gather through ``group_of`` and the front advance needs a
-    scatter-reduction.  Only ablation studies exercise these modes; the
-    default per-stream mode takes :func:`_schedule_borrowing_stream`.
-    """
-    window = 1 + d1
-    ptr = np.zeros(n_slots, dtype=np.int64)
-    slot_ids = np.arange(n_slots)
-    next_pos = positions[slot_ids, ptr]
-
-    if front_mode == "unit":
-        group_of = slot_ids % n_groups
-        n_fronts = n_groups
-    else:
-        group_of = np.zeros(n_slots, dtype=np.int64)
-        n_fronts = 1
-    fronts = np.zeros(n_fronts, dtype=np.int64)
-
-    schedule_chunks: list[np.ndarray] = []
-    cycles = 0
-    busy_cycles = 0
-    borrowed = 0
-    executed = 0
-    while executed < total_ops:
-        limit = fronts[group_of] + d1
-
-        own = next_pos <= limit
-        if not own.any():
-            # Fully idle cycle: donor availability is the donor's *own*
-            # phase-1 condition, so nothing can execute anywhere -- jump
-            # all such cycles at once.
-            earliest = np.full(n_fronts, _INF, dtype=np.int64)
-            np.minimum.at(earliest, group_of, next_pos)
-            waiting = earliest < _INF
-            gap = (earliest - d1 - fronts)[waiting]
-            jump = int((-((-gap) // window)).min())
-            cycles += jump
-            fronts = np.minimum(earliest, fronts + jump * window)
-            if record:
-                schedule_chunks.append(np.full((jump, n_slots), -1, dtype=np.int64))
-            continue
-
-        cycles += 1
-        busy_cycles += 1
-        row = np.full(n_slots, -1, dtype=np.int64) if record else None
-
-        # Phase 1: every slot claims the earliest remaining op of its own
-        # stream that lies inside its unit's window.
-        own_slots = slot_ids[own]
-        if record:
-            row[own_slots] = next_pos[own_slots] * n_slots + own_slots
-        executed += len(own_slots)
-        ptr[own_slots] += 1
-        next_pos[own_slots] = positions[own_slots, ptr[own_slots]]
-        idle = ~own
-
-        # Phase 2: idle slots borrow, one claim per donor per offset round.
-        # The offset shift is injective, so claims are contention-free and
-        # no arbitration is needed.  Donor availability is judged against
-        # the donor's own front (``limit`` gathers exactly
-        # ``fronts[group_of[...]] + d1``).
-        for donor, donor_valid, _inv, _inv_valid in donor_maps:
-            if not idle.any():
-                break
-            cand = idle & donor_valid
-            if not cand.any():
-                continue
-            cand_slots = slot_ids[cand]
-            cand_donors = donor[cand]
-            cand_ok = next_pos[cand_donors] <= limit[cand_donors]
-            win_slots = cand_slots[cand_ok]
-            win_donors = cand_donors[cand_ok]
-            if len(win_slots) == 0:
-                continue
-            if record:
-                row[win_slots] = next_pos[win_donors] * n_slots + win_donors
-            executed += len(win_slots)
-            borrowed += len(win_slots)
-            ptr[win_donors] += 1
-            next_pos[win_donors] = positions[win_donors, ptr[win_donors]]
-            idle[win_slots] = False
-
-        if record:
-            schedule_chunks.append(row[np.newaxis, :])
-
-        # Per-group front advance: up to the group's earliest unexecuted op,
-        # capped at one window of refill per cycle.
-        earliest = np.full(n_fronts, _INF, dtype=np.int64)
-        np.minimum.at(earliest, group_of, next_pos)
-        fronts = np.minimum(earliest, fronts + window)
-
-    # Trailing drain: units behind T keep streaming zero slices at window
-    # rate; the tile ends when the slowest one crosses T.
-    behind = fronts < t_steps
-    if behind.any():
-        cycles += int((-((fronts[behind] - t_steps) // window)).max())
-
-    if record:
-        schedule = (
-            np.concatenate(schedule_chunks, axis=0)
-            if schedule_chunks
-            else np.array([], dtype=np.int64)
-        )
-    else:
-        schedule = None
-    return CompactionResult(
-        cycles=cycles,
-        busy_cycles=busy_cycles,
-        executed_ops=executed,
-        borrowed_ops=borrowed,
-        schedule=schedule,
-    )
-
-
-def compact_schedule_batch(
-    masks: "list[np.ndarray] | tuple[np.ndarray, ...]",
-    d1: int = 0,
-    d2: int = 0,
-    d3: int = 0,
-    lane_wrap: bool = True,
-) -> list[CompactionResult]:
-    """Schedule a batch of same-geometry tile masks in one cycle loop.
-
-    Semantically identical to calling :func:`compact_schedule` on each mask
-    (asserted bitwise by the property suite) but shares every per-cycle
-    numpy dispatch across the batch: the tiles are laid out as one
-    ``len(masks) * n_slots``-stream problem with block-diagonal donor
-    wiring, so a GEMM's sampled passes cost one loop instead of one per
-    tile.  Masks must agree on ``(L, C1, C2)``; time depths may differ
-    (each tile keeps its own drain horizon and cycle count).  Schedules are
-    not recorded -- use ``compact_schedule(..., return_schedule=True)``
-    for that.
-    """
-    if not masks:
-        return []
-    checked = [_check_mask(m) for m in masks]
-    lanes, c1, c2 = checked[0].shape[1:]
-    for m in checked[1:]:
-        if m.shape[1:] != (lanes, c1, c2):
-            raise ValueError(
-                f"batched masks must agree on (L, C1, C2): "
-                f"{m.shape[1:]} vs {(lanes, c1, c2)}"
-            )
-    n_slots = lanes * c1 * c2
-    if (d2 == 0 and d3 == 0) or n_slots == 0 or len(checked) == 1:
-        # Without donors the closed form is already one shot per tile;
-        # degenerate batches gain nothing from merging.
-        return [
-            compact_schedule(m, d1, d2, d3, lane_wrap=lane_wrap) for m in checked
-        ]
-
-    n_tiles = len(checked)
-    window = 1 + d1
-    t_arr = np.array([m.shape[0] for m in checked], dtype=np.int64)
-    t_max = int(t_arr.max())
-    total_slots = n_tiles * n_slots
-    flat = np.zeros((t_max, total_slots), dtype=bool)
-    for b, m in enumerate(checked):
-        flat[: m.shape[0], b * n_slots : (b + 1) * n_slots] = m.reshape(
-            m.shape[0], n_slots
-        )
-    positions, counts, _total = _stream_positions(flat, total_slots)
-    per_tile = counts.reshape(n_tiles, n_slots).sum(axis=1)
-
-    # Donor wiring, tiled block-diagonally: tiles never borrow across the
-    # batch.
-    offs = np.repeat(np.arange(n_tiles, dtype=np.int64) * n_slots, n_slots)
-    donor_maps = [
-        (
-            np.tile(donor, n_tiles) + offs,
-            np.tile(valid, n_tiles),
-            np.tile(inv, n_tiles) + offs,
-            np.tile(inv_valid, n_tiles),
-        )
-        for donor, valid, inv, inv_valid in _donor_maps(
-            lanes, c1, c2, d2, d3, lane_wrap
-        )
-    ]
-    multi_round = len(donor_maps) > 1
-
-    stride = positions.shape[1]
-    pos_flat = positions.ravel()
-    # ``idx`` fuses stream base offset and per-stream pointer, so every
-    # pointer advance is one in-place add and every stream lookup is one
-    # flat gather.  All cycle-frequency intermediates live in preallocated
-    # buffers: at batch width the loop is allocation-bound before it is
-    # compute-bound.
-    idx = np.arange(total_slots, dtype=np.int64) * stride
-    next_pos = pos_flat[idx]
-    fronts = np.zeros(total_slots, dtype=np.int64)
-    limit = np.empty(total_slots, dtype=np.int64)
-    own = np.empty(total_slots, dtype=bool)
-    recv_idle = np.empty(total_slots, dtype=bool)
-    scratch = np.empty(total_slots, dtype=bool)
-    scratch2 = np.empty(total_slots, dtype=bool)
-
-    cycles_t = np.zeros(n_tiles, dtype=np.int64)
-    busy_t = np.zeros(n_tiles, dtype=np.int64)
-    executed_t = np.zeros(n_tiles, dtype=np.int64)
-    borrowed_t = np.zeros(n_tiles, dtype=np.int64)
-    final_cycles = np.zeros(n_tiles, dtype=np.int64)
-    active = per_tile > 0
-
-    def finish(b: int) -> None:
-        # Same drain-tail snapshot the single-tile loop takes on exit,
-        # against this tile's own time horizon.
-        f = fronts[b * n_slots : (b + 1) * n_slots]
-        behind = f < t_arr[b]
-        tail = int((-((f[behind] - t_arr[b]) // window)).max()) if behind.any() else 0
-        final_cycles[b] = cycles_t[b] + tail
-
-    for b in np.nonzero(~active)[0]:
-        # All-zero tiles never enter the loop: pure drain.
-        final_cycles[b] = -((-int(t_arr[b])) // window)
-
-    n_active = int(active.sum())
-    while n_active:
-        np.add(fronts, d1, out=limit)
-        np.less_equal(next_pos, limit, out=own)
-        own_counts = own.reshape(n_tiles, n_slots).sum(axis=1)
-        if not own_counts.any():
-            # Every unfinished tile is idle this cycle (finished tiles sit
-            # at _INF): jump to the next cycle any stream has window work.
-            waiting = next_pos < _INF
-            gap = (next_pos - d1 - fronts)[waiting]
-            jump = int((-((-gap) // window)).min())
-            cycles_t += active * jump
-            fronts += jump * window
-            np.minimum(next_pos, fronts, out=fronts)
-            continue
-
-        cycles_t += active
-        busy_t += own_counts > 0
-        executed_t += own_counts
-        idx += own
-        np.take(pos_flat, idx, out=next_pos)
-        np.logical_not(own, out=recv_idle)
-
-        for donor, donor_valid, inv, inv_valid in donor_maps:
-            np.take(recv_idle, inv, out=scratch)
-            scratch &= inv_valid
-            np.less_equal(next_pos, limit, out=scratch2)
-            scratch &= scratch2  # scratch = donates
-            if not scratch.any():
-                continue
-            d_counts = scratch.reshape(n_tiles, n_slots).sum(axis=1)
-            executed_t += d_counts
-            borrowed_t += d_counts
-            idx += scratch
-            np.take(pos_flat, idx, out=next_pos)
-            if multi_round:
-                np.take(scratch, donor, out=scratch2)
-                scratch2 &= donor_valid
-                np.logical_not(scratch2, out=scratch2)
-                recv_idle &= scratch2
-                if not recv_idle.any():
-                    break
-
-        limit += 1
-        np.minimum(next_pos, limit, out=fronts)
-        newly = active & (executed_t >= per_tile)
-        if newly.any():
-            for b in np.nonzero(newly)[0]:
-                finish(int(b))
-            active &= ~newly
-            n_active = int(active.sum())
-
-    return [
-        CompactionResult(
-            cycles=int(final_cycles[b]),
-            busy_cycles=int(busy_t[b]),
-            executed_ops=int(per_tile[b]),
-            borrowed_ops=int(borrowed_t[b]),
-        )
-        for b in range(n_tiles)
-    ]
+    return compact_schedule_batch(
+        [mask], d1, d2, d3,
+        lane_wrap=lane_wrap, record=return_schedule, front_mode=front_mode,
+    )[0]
 
 
 def unpack_schedule(

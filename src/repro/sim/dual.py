@@ -19,6 +19,7 @@ depth ``L = (1+da1)(1+db1)`` and the combined ideal speedup cap of ``L``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class DualResult:
     borrowed_ops: int
 
 
+def _check_pair(a_mask: np.ndarray, b_mask: np.ndarray) -> None:
+    if b_mask.shape[0] != a_mask.shape[0] or b_mask.shape[1] != a_mask.shape[1]:
+        raise ValueError(
+            f"A {a_mask.shape} and B {b_mask.shape} masks disagree on (T, L)"
+        )
+
+
 def filtered_pair_mask(
     a_mask: np.ndarray, b_mask: np.ndarray, config: ArchConfig
 ) -> tuple[np.ndarray, int]:
@@ -59,23 +67,25 @@ def filtered_pair_mask(
         effectual iff the B element scheduled there is paired with a nonzero
         A element.
     """
-    t_steps, lanes, m_dim = a_mask.shape
-    if b_mask.shape[0] != t_steps or b_mask.shape[1] != lanes:
-        raise ValueError(
-            f"A {a_mask.shape} and B {b_mask.shape} masks disagree on (T, L)"
-        )
-    n_dim = b_mask.shape[2]
-    db1, db2, db3 = config.b.as_tuple()
+    _check_pair(a_mask, b_mask)
     b_result = compact_schedule(
-        b_mask[:, :, :, np.newaxis], db1, db2, db3, return_schedule=True
+        b_mask[:, :, :, np.newaxis], *config.b.as_tuple(), return_schedule=True
     )
+    return _pair_mask(a_mask, b_mask, b_result), b_result.cycles
+
+
+def _pair_mask(
+    a_mask: np.ndarray, b_mask: np.ndarray, b_result: CompactionResult
+) -> np.ndarray:
+    """Filter ``a_mask`` through B's recorded schedule (steps 2-3)."""
+    t_steps, lanes, m_dim = a_mask.shape
+    n_dim = b_mask.shape[2]
     schedule = b_result.schedule
-    if schedule is None or len(schedule) == 0:
+    if len(schedule) == 0:
         # Nothing scheduled (all-zero B): the drain still streams.
-        empty = np.zeros((b_result.cycles, lanes, m_dim, n_dim), dtype=bool)
-        return empty, b_result.cycles
+        return np.zeros((b_result.cycles, lanes, m_dim, n_dim), dtype=bool)
     t_orig, l_orig, n_orig, _ = unpack_schedule(
-        schedule.copy(), (t_steps, lanes, n_dim, 1)
+        schedule, (t_steps, lanes, n_dim, 1)
     )
     u_steps = schedule.shape[0]
     # Slot layout of the B schedule is (lane, n); look the paired A element
@@ -91,7 +101,7 @@ def filtered_pair_mask(
         # still occupies compressed steps with no work in them.
         tail = np.zeros((b_result.cycles - u_steps,) + pair_mask.shape[1:], dtype=bool)
         pair_mask = np.concatenate([pair_mask, tail], axis=0)
-    return pair_mask, b_result.cycles
+    return pair_mask
 
 
 def dual_sparse_cycles(
@@ -102,40 +112,61 @@ def dual_sparse_cycles(
     The A-side compaction runs over the compressed time axis with the
     ``da`` distances: lane lookaside along ``L`` and neighbour borrowing
     along the output-row axis ``M`` (each output column ``n`` keeps its own
-    stream; there is no ``da``-borrowing across columns).
+    stream; there is no ``da``-borrowing across columns).  A batch of one
+    of :func:`dual_sparse_cycles_batch`.
     """
-    pair_mask, b_len = filtered_pair_mask(a_mask, b_mask, config)
-    da1, da2, da3 = config.a.as_tuple()
-    a_result = compact_schedule(pair_mask, da1, da2, da3)
-    return DualResult(
-        cycles=a_result.cycles,
-        b_schedule_len=b_len,
-        executed_pairs=a_result.executed_ops,
-        borrowed_ops=a_result.borrowed_ops,
-    )
+    return dual_sparse_cycles_batch([(a_mask, b_mask)], [config])[0]
 
 
 def dual_sparse_cycles_batch(
-    pairs: "list[tuple[np.ndarray, np.ndarray]]", config: ArchConfig
+    pairs: "Sequence[tuple[np.ndarray, np.ndarray]]",
+    configs: "Sequence[ArchConfig]",
 ) -> list[DualResult]:
-    """Batched :func:`dual_sparse_cycles` over same-geometry tiles.
+    """:func:`dual_sparse_cycles` over many same-geometry tiles at once.
 
-    The B preprocessing (which records a schedule) runs per tile; the
-    expensive on-the-fly A-side cycle loop over the ``[U, L, M, N]`` pair
-    masks runs once for the whole batch through
-    :func:`compact_schedule_batch` (the compressed depths ``U`` may differ
-    per tile).  Results are identical to mapping
-    :func:`dual_sparse_cycles` over ``pairs``.
+    ``configs`` holds one architecture per pair.  Two kernel calls serve
+    the whole batch: B preprocessing in record mode over the distinct
+    (B mask, ``db``) tiles, then the A-side cycle loop over the
+    ``[U, L, M, N]`` pair masks (the compressed depths ``U`` may differ
+    per tile).  Pairs that share A and B masks and ``db``
+    distances share one pair-mask object, so the A-side kernel computes
+    its stream positions once.  Results are identical to mapping
+    :func:`dual_sparse_cycles` over the pairs.
     """
-    filtered = [filtered_pair_mask(a, b, config) for a, b in pairs]
-    da1, da2, da3 = config.a.as_tuple()
-    a_results = compact_schedule_batch([pm for pm, _ in filtered], da1, da2, da3)
+    if len(configs) != len(pairs):
+        raise ValueError(f"{len(pairs)} pairs but {len(configs)} configs")
+    if not pairs:
+        return []
+    jobs: dict[tuple, int] = {}
+    b_views: dict[int, np.ndarray] = {}
+    job_of = []
+    for (a_mask, b_mask), cfg in zip(pairs, configs):
+        _check_pair(a_mask, b_mask)
+        job = (id(b_mask), cfg.b.as_tuple())
+        if job not in jobs:
+            jobs[job] = len(jobs)
+            if id(b_mask) not in b_views:
+                b_views[id(b_mask)] = b_mask[:, :, :, np.newaxis]
+        job_of.append(jobs[job])
+    db1, db2, db3 = zip(*(db for _, db in jobs))
+    b_results = compact_schedule_batch(
+        [b_views[b_id] for b_id, _ in jobs], db1, db2, db3, record=True
+    )
+    pair_masks: dict[tuple, np.ndarray] = {}
+    masks = []
+    for (a_mask, b_mask), job in zip(pairs, job_of):
+        key = (id(a_mask), job)
+        if key not in pair_masks:
+            pair_masks[key] = _pair_mask(a_mask, b_mask, b_results[job])
+        masks.append(pair_masks[key])
+    da1, da2, da3 = zip(*(cfg.a.as_tuple() for cfg in configs))
+    a_results = compact_schedule_batch(masks, da1, da2, da3)
     return [
         DualResult(
             cycles=res.cycles,
-            b_schedule_len=b_len,
+            b_schedule_len=b_results[job].cycles,
             executed_pairs=res.executed_ops,
             borrowed_ops=res.borrowed_ops,
         )
-        for res, (_, b_len) in zip(a_results, filtered)
+        for res, job in zip(a_results, job_of)
     ]

@@ -27,7 +27,7 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from repro.gemm.layers import GemmShape
 from repro.gemm.tiling import TileGrid, tile_grid
 from repro.memory.dram import dram_stall_factor, layer_traffic_bytes
 from repro.memory.sram import SramModel
-from repro.sim.compaction import compact_schedule, compact_schedule_batch
-from repro.sim.dual import dual_sparse_cycles, dual_sparse_cycles_batch
+from repro.sim.compaction import compact_schedule_batch
+from repro.sim.dual import dual_sparse_cycles_batch
 from repro.sim.shuffle import rotation_shuffle
 from repro.workloads.models import (
     Network,
@@ -186,64 +186,66 @@ def simulate_tile(
     for the sides the architecture should skip; a missing side is treated
     as dense.  With both masks the dual-sparse seven-step pipeline runs;
     with one, the corresponding single-sparse compaction; with none, the
-    tile costs exactly ``T`` dense cycles.
+    tile costs exactly ``T`` dense cycles.  A batch of one of
+    :func:`_tile_cycles_batch`.
     """
     if t_steps is None:
         source = a_mask if a_mask is not None else b_mask
         if source is None:
             raise ValueError("t_steps is required when no mask is given")
         t_steps = source.shape[0]
-
-    if config.shuffle:
-        if a_mask is not None:
-            a_mask = rotation_shuffle(a_mask)
-        if b_mask is not None:
-            b_mask = rotation_shuffle(b_mask)
-
-    if a_mask is not None and b_mask is not None:
-        dual = dual_sparse_cycles(a_mask, b_mask, config)
-        return TileResult(dual.cycles, t_steps, dual.executed_pairs, dual.borrowed_ops)
-    if b_mask is not None:
-        res = compact_schedule(b_mask, *config.b.as_tuple())
-        return TileResult(res.cycles, t_steps, res.executed_ops, res.borrowed_ops)
-    if a_mask is not None:
-        res = compact_schedule(a_mask, *config.a.as_tuple())
-        return TileResult(res.cycles, t_steps, res.executed_ops, res.borrowed_ops)
-    return TileResult(t_steps, t_steps, 0, 0)
+    if a_mask is None and b_mask is None:
+        return TileResult(t_steps, t_steps, 0, 0)
+    ((tile,),) = _tile_cycles_batch([config], [(a_mask, b_mask)])
+    return replace(tile, dense_cycles=t_steps)
 
 
 def _tile_cycles_batch(
-    config: ArchConfig,
-    pairs: "list[tuple[np.ndarray | None, np.ndarray | None]]",
-) -> list[int]:
-    """Cycles for a batch of sampled output tiles of one GEMM.
+    configs: "Sequence[ArchConfig]",
+    pairs: "Sequence[tuple[np.ndarray | None, np.ndarray | None]]",
+) -> list[list[TileResult]]:
+    """Schedule one family of sampled passes for every config in one kernel call.
 
-    Matches ``simulate_tile(...).cycles`` per pair exactly, but schedules
-    the whole batch through one cycle loop (``compact_schedule_batch`` /
-    ``dual_sparse_cycles_batch``) so the sampled passes share each
-    per-cycle numpy dispatch.  Within one GEMM every pass has the same
-    sparse sides, so the first pair picks the pipeline.
+    Returns one list of tile results per config, in ``pairs`` order.  The
+    pairs come unshuffled from the pass memo; they are shuffled once, for
+    all the configs that shuffle, and every (config, pass) tile then goes
+    through a single ``compact_schedule_batch`` call (per-tile distances)
+    or ``dual_sparse_cycles_batch`` call (per-tile configs), so the
+    scheduler's per-cycle dispatch is paid once per GEMM, not once per
+    (GEMM, design).  Within one family every pass has the same sparse
+    sides, so the first pair picks the pipeline.  Each result equals
+    :func:`simulate_tile` on that config and pair.
     """
-    if config.shuffle:
-        pairs = [
-            (
-                rotation_shuffle(a) if a is not None else None,
-                rotation_shuffle(b) if b is not None else None,
-            )
-            for a, b in pairs
+    if not configs or not pairs:
+        return [[] for _ in configs]
+    shuffled = pairs
+    if any(config.shuffle for config in configs):
+        shuffled = [
+            tuple(rotation_shuffle(m) if m is not None else None for m in pair)
+            for pair in pairs
         ]
+    tile_pairs = [
+        pair for config in configs for pair in (shuffled if config.shuffle else pairs)
+    ]
+    tile_configs = [config for config in configs for _ in pairs]
     first_a, first_b = pairs[0]
     if first_a is not None and first_b is not None:
-        return [r.cycles for r in dual_sparse_cycles_batch(pairs, config)]
-    if first_b is not None:
-        results = compact_schedule_batch(
-            [b for _, b in pairs], *config.b.as_tuple()
-        )
+        tiles = [
+            TileResult(r.cycles, a.shape[0], r.executed_pairs, r.borrowed_ops)
+            for r, (a, _) in zip(
+                dual_sparse_cycles_batch(tile_pairs, tile_configs), tile_pairs
+            )
+        ]
     else:
-        results = compact_schedule_batch(
-            [a for a, _ in pairs], *config.a.as_tuple()
-        )
-    return [r.cycles for r in results]
+        side = "b" if first_b is not None else "a"
+        masks = [b if side == "b" else a for a, b in tile_pairs]
+        d1, d2, d3 = zip(*(getattr(c, side).as_tuple() for c in tile_configs))
+        tiles = [
+            TileResult(r.cycles, m.shape[0], r.executed_ops, r.borrowed_ops)
+            for r, m in zip(compact_schedule_batch(masks, d1, d2, d3), masks)
+        ]
+    n = len(pairs)
+    return [tiles[j * n : (j + 1) * n] for j in range(len(configs))]
 
 
 def _layer_seed(*parts: object) -> int:
@@ -409,52 +411,67 @@ def _draw_passes(
     return tuple(pairs)
 
 
-def _simulate_gemm(
+def _simulate_gemm_batch(
     gemm: GemmShape,
     layer: NetworkLayer,
-    config: ArchConfig,
+    configs: "Sequence[ArchConfig]",
     category: ModelCategory,
     options: SimulationOptions,
-) -> GemmSimResult:
-    geometry = config.geometry
-    grid = tile_grid(gemm, geometry)
-    sparsity = _effective_sparsity(gemm, layer, config, category)
-    if not sparsity.any:
-        return GemmSimResult(gemm, float(grid.dense_cycles), grid.dense_cycles, 0)
-    sched_config = _scheduling_config(config, sparsity)
+) -> list[GemmSimResult]:
+    """One GEMM on many configs, one scheduler call per pass family.
+
+    Configs that see the same sparse sides on the same geometry read the
+    same sampled passes, so they are stacked into one
+    :func:`_tile_cycles_batch` call.  Each result equals what the GEMM
+    gives on that config alone.
+    """
+    results: list[GemmSimResult | None] = [None] * len(configs)
+    families: dict[tuple, list[int]] = {}
+    for j, config in enumerate(configs):
+        sparsity = _effective_sparsity(gemm, layer, config, category)
+        if not sparsity.any:
+            grid = tile_grid(gemm, config.geometry)
+            results[j] = GemmSimResult(gemm, float(grid.dense_cycles), grid.dense_cycles, 0)
+        else:
+            families.setdefault((config.geometry, sparsity), []).append(j)
+    if not families:
+        return results  # type: ignore[return-value]
 
     seed = _layer_seed(options.seed, gemm, layer.weight_density, layer.act_density)
-    # A weight-sparse GEMM keys its entry on the layer's activations, so the
-    # weight-only and dual-sparse families share one weight draw.
-    entry_acts = sparsity.activations
-    if sparsity.weights is not None:
-        entry_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
-    with obs.ACTIVE.span("engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"):
-        single, dual = _sampled_passes(
-            seed, sparsity.weights, entry_acts, gemm, geometry,
-            options.passes_per_gemm, options.max_t_steps,
-        )
-    both_sides = sparsity.weights is not None and sparsity.activations is not None
-    pairs = dual if both_sides else single
-    samples = len(pairs)
-    n_passes = grid.m_tiles * grid.n_tiles
-    full_t = grid.t_steps
-    seg_t = min(full_t, options.max_t_steps)
-    scale_t = full_t / seg_t
-
-    # Schedule the sampled passes as one batch: the tiles of a GEMM share
-    # every per-cycle numpy dispatch of the scheduler's loop instead of
-    # paying it per tile.
-    drain = min(options.pipeline_drain, max(0, seg_t // 4))
-    total_cycles = 0.0
-    with obs.ACTIVE.span("engine.tile_batch", passes=samples):
-        for tile_cycles in _tile_cycles_batch(sched_config, list(pairs)):
-            total_cycles += (tile_cycles + drain) * scale_t
-
-    mean_cycles = total_cycles / samples
-    cycles = mean_cycles * n_passes * gemm.repeats
-    cycles = min(max(cycles, _min_cycles(grid, sched_config)), float(grid.dense_cycles))
-    return GemmSimResult(gemm, cycles, grid.dense_cycles, samples)
+    for (geometry, sparsity), members in families.items():
+        # A weight-sparse GEMM keys its entry on the layer's activations, so
+        # the weight-only and dual-sparse families share one weight draw.
+        entry_acts = sparsity.activations
+        if sparsity.weights is not None:
+            entry_acts = act_profile(layer.act_density) if layer.act_density < 1.0 else None
+        with obs.ACTIVE.span("engine.sample_passes", gemm=f"{gemm.m}x{gemm.k}x{gemm.n}"):
+            single, dual = _sampled_passes(
+                seed, sparsity.weights, entry_acts, gemm, geometry,
+                options.passes_per_gemm, options.max_t_steps,
+            )
+        both_sides = sparsity.weights is not None and sparsity.activations is not None
+        pairs = dual if both_sides else single
+        samples = len(pairs)
+        grid = tile_grid(gemm, geometry)
+        n_passes = grid.m_tiles * grid.n_tiles
+        full_t = grid.t_steps
+        seg_t = min(full_t, options.max_t_steps)
+        scale_t = full_t / seg_t
+        drain = min(options.pipeline_drain, max(0, seg_t // 4))
+        sched_configs = [_scheduling_config(configs[j], sparsity) for j in members]
+        with obs.ACTIVE.span("engine.tile_batch", passes=samples, configs=len(members)):
+            scheduled = _tile_cycles_batch(sched_configs, pairs)
+        for j, sched_config, tiles in zip(members, sched_configs, scheduled):
+            total_cycles = 0.0
+            for tile in tiles:
+                total_cycles += (tile.cycles + drain) * scale_t
+            mean_cycles = total_cycles / samples
+            cycles = mean_cycles * n_passes * gemm.repeats
+            cycles = min(
+                max(cycles, _min_cycles(grid, sched_config)), float(grid.dense_cycles)
+            )
+            results[j] = GemmSimResult(gemm, cycles, grid.dense_cycles, samples)
+    return results  # type: ignore[return-value]
 
 
 def _min_cycles(grid: TileGrid, config: ArchConfig) -> float:
@@ -677,64 +694,150 @@ def persistent_cache(
         set_persistent_cache(previous)
 
 
-def clear_memo_cache() -> None:
-    """Drop the in-process layer memoization (not the persistent cache)."""
-    _simulate_layer_cached.cache_clear()
-    _sampled_passes.cache_clear()
-
-
-def _compute_layer(
+@lru_cache(maxsize=32768)
+def _layer_memo(
     gemms: tuple[GemmShape, ...],
     weight_density: float,
     act_density: float,
     config: ArchConfig,
     category: ModelCategory,
     options: SimulationOptions,
-) -> LayerSimResult:
+) -> list:
+    """The in-process memo cell of one layer simulation: ``[result]``.
+
+    Keyed on every simulation input.  A batch takes each config's cell
+    before it computes the misses together, so a cell starts empty
+    (``[None]``) and is filled once the result exists; ``cache_info()``
+    counts a first look-up as a miss and every later one as a hit, like a
+    memoized function.
+    """
+    return [None]
+
+
+def clear_memo_cache() -> None:
+    """Drop the in-process layer memoization (not the persistent cache)."""
+    _layer_memo.cache_clear()
+    _sampled_passes.cache_clear()
+
+
+def _resolve_batch(
+    identities: "Sequence[object]",
+    lookup: "Callable[[int], object | None]",
+    compute: "Callable[[list[int]], list]",
+    store: "Callable[[int, object], None]",
+) -> list:
+    """Look every item up, compute the misses together, store them.
+
+    Equivalent to handling the items one at a time in order: an item
+    whose identity repeats an earlier one waits for a later wave, by which
+    time the earlier one's result is stored -- so it makes the same
+    lookups, and gets the same hits, as a one-at-a-time loop, and a
+    result is computed and written once.
+    """
+    results: list = [None] * len(identities)
+    todo = list(range(len(identities)))
+    while todo:
+        wave: list[int] = []
+        later: list[int] = []
+        seen = set()
+        for i in todo:
+            (later if identities[i] in seen else wave).append(i)
+            seen.add(identities[i])
+        misses = []
+        for i in wave:
+            results[i] = lookup(i)
+            if results[i] is None:
+                misses.append(i)
+        if misses:
+            for i, result in zip(misses, compute(misses)):
+                store(i, result)
+                results[i] = result
+        todo = later
+    return results
+
+
+def _totals(results: "Sequence[GemmSimResult | LayerSimResult]") -> tuple[float, int]:
+    """Cycles and dense cycles, summed in order (never a compensated sum)."""
+    cycles = 0.0
+    dense = 0
+    for res in results:
+        cycles += res.cycles
+        dense += res.dense_cycles
+    return cycles, dense
+
+
+def _compute_layer_batch(
+    gemms: tuple[GemmShape, ...],
+    weight_density: float,
+    act_density: float,
+    configs: "Sequence[ArchConfig]",
+    category: ModelCategory,
+    options: SimulationOptions,
+) -> list[LayerSimResult]:
     layer = NetworkLayer(
         spec=RawGemmSpec(name="layer", shapes=gemms),
         weight_density=weight_density,
         act_density=act_density,
     )
-    results = []
-    cycles = 0.0
-    dense = 0
-    with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms)):
+    per_config: list[list[GemmSimResult]] = [[] for _ in configs]
+    with obs.ACTIVE.span("engine.compute_layer", gemms=len(gemms), configs=len(configs)):
         for gemm in gemms:
-            res = _simulate_gemm(gemm, layer, config, category, options)
-            gemm_cycles = res.cycles
-            if options.include_stalls and gemm_cycles < res.dense_cycles:
-                gemm_cycles = _apply_stalls(
-                    gemm_cycles, gemm, layer, config, category, res.dense_cycles, options
-                )
-                gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
-                res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
-            results.append(res)
-            cycles += res.cycles
-            dense += res.dense_cycles
-    return LayerSimResult(name="layer", cycles=cycles, dense_cycles=dense, gemms=tuple(results))
+            batch = _simulate_gemm_batch(gemm, layer, configs, category, options)
+            for results, config, res in zip(per_config, configs, batch):
+                if options.include_stalls and res.cycles < res.dense_cycles:
+                    gemm_cycles = _apply_stalls(
+                        res.cycles, gemm, layer, config, category, res.dense_cycles, options
+                    )
+                    gemm_cycles = min(gemm_cycles, float(res.dense_cycles))
+                    res = GemmSimResult(gemm, gemm_cycles, res.dense_cycles, res.sampled_passes)
+                results.append(res)
+    return [
+        LayerSimResult("layer", *_totals(results), gemms=tuple(results))
+        for results in per_config
+    ]
 
 
-@lru_cache(maxsize=32768)
-def _simulate_layer_cached(
-    gemms: tuple[GemmShape, ...],
-    weight_density: float,
-    act_density: float,
-    config: ArchConfig,
+def _simulate_layer_batch(
+    layer: NetworkLayer,
+    configs: "Sequence[ArchConfig]",
     category: ModelCategory,
     options: SimulationOptions,
-) -> LayerSimResult:
+) -> list[LayerSimResult]:
+    """One layer on many configs: memo, then the layer tier, then one computation.
+
+    Configs that differ only in their display name share a simulation key:
+    the first computes and writes it, the others hit its entry.
+    """
+    gemms = tuple(layer.spec.gemms())
+    inputs = (gemms, layer.weight_density, layer.act_density)
     cache = _persistent_cache
-    key = None
-    if cache is not None:
-        key = simulation_key(gemms, weight_density, act_density, config, category, options)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = _compute_layer(gemms, weight_density, act_density, config, category, options)
-    if cache is not None and key is not None:
-        cache.put(key, result)
-    return result
+    keys: dict[int, str] = {}
+
+    cells = [_layer_memo(*inputs, config, category, options) for config in configs]
+
+    def lookup(i: int) -> LayerSimResult | None:
+        if cells[i][0] is None and cache is not None:
+            keys[i] = simulation_key(*inputs, configs[i], category, options)
+            cells[i][0] = cache.get(keys[i])
+        return cells[i][0]
+
+    def store(i: int, result: LayerSimResult) -> None:
+        if cache is not None:
+            cache.put(keys[i], result)
+        cells[i][0] = result
+
+    results = _resolve_batch(
+        [(c.a, c.b, c.shuffle, c.geometry) for c in configs],
+        lookup,
+        lambda misses: _compute_layer_batch(
+            *inputs, [configs[i] for i in misses], category, options
+        ),
+        store,
+    )
+    return [
+        result if result.name == layer.name else replace(result, name=layer.name)
+        for result in results
+    ]
 
 
 def simulate_layer(
@@ -750,17 +853,7 @@ def simulate_layer(
     returned result nevertheless carries the layer's real display name.
     """
     options = options or SimulationOptions()
-    result = _simulate_layer_cached(
-        tuple(layer.spec.gemms()),
-        layer.weight_density,
-        layer.act_density,
-        config,
-        category,
-        options,
-    )
-    if result.name != layer.name:
-        result = replace(result, name=layer.name)
-    return result
+    return _simulate_layer_batch(layer, [config], category, options)[0]
 
 
 def _network_tier(cache: LayerResultCache | None) -> NetworkResultCache | None:
@@ -783,43 +876,58 @@ def simulate_network(
 ) -> NetworkSimResult:
     """End-to-end latency of a network on an architecture configuration.
 
+    A batch of one of :func:`simulate_network_batch`.
+    """
+    return simulate_network_batch(network, [config], category, options)[0]
+
+
+def simulate_network_batch(
+    network: Network,
+    configs: "Sequence[ArchConfig]",
+    category: ModelCategory,
+    options: SimulationOptions | None = None,
+) -> list[NetworkSimResult]:
+    """End-to-end latency of one network on many configurations.
+
     Resolution is tiered: if the installed persistent cache implements
-    :class:`NetworkResultCache`, the whole network is looked up under its
-    :func:`network_key` first -- a warm run answers in one read with zero
-    layer simulations.  On a miss (or with a layer-only cache) the layers
-    simulate individually through the layer tier, and the aggregated result
-    is written back to the network tier for the next run.
+    :class:`NetworkResultCache`, each config's network is looked up under
+    its :func:`network_key` first -- a warm run answers in one read per
+    config with zero layer simulations.  The misses simulate together
+    through the layer tier (each GEMM's pass family is scheduled for all
+    of them in one kernel call), and each aggregated result is written
+    back to the network tier for the next run.  Results, cache reads and
+    cache writes equal those of :func:`simulate_network` on each config in
+    turn.
     """
     options = options or SimulationOptions()
     tier = _network_tier(_persistent_cache)
-    key = None
     if tier is not None:
-        key = network_key(network, config, category, options)
-        hit = tier.get_network(key)
-        if hit is not None:
-            return hit
-    layer_results = []
-    cycles = 0.0
-    dense = 0
-    with obs.ACTIVE.span(
-        "engine.network_compute",
-        network=network.name,
-        config=config.label,
-        layers=len(network.layers),
-    ):
-        for layer in network.layers:
-            res = simulate_layer(layer, config, category, options)
-            layer_results.append(res)
-            cycles += res.cycles
-            dense += res.dense_cycles
-    result = NetworkSimResult(
-        network=network.name,
-        config=config.label,
-        category=category,
-        cycles=cycles,
-        dense_cycles=dense,
-        layers=tuple(layer_results),
+        keys: list = [network_key(network, c, category, options) for c in configs]
+    else:
+        keys = list(range(len(configs)))
+
+    def compute(misses: list[int]) -> list[NetworkSimResult]:
+        batch = [configs[i] for i in misses]
+        with obs.ACTIVE.span(
+            "engine.network_compute",
+            network=network.name,
+            configs=len(batch),
+            layers=len(network.layers),
+        ):
+            per_layer = [
+                _simulate_layer_batch(layer, batch, category, options)
+                for layer in network.layers
+            ]
+        return [
+            NetworkSimResult(
+                network.name, config.label, category, *_totals(layers), layers=layers
+            )
+            for config, layers in zip(batch, map(tuple, zip(*per_layer)))
+        ]
+
+    return _resolve_batch(
+        keys,
+        lambda i: tier.get_network(keys[i]) if tier is not None else None,
+        compute,
+        lambda i, result: tier.put_network(keys[i], result) if tier is not None else None,
     )
-    if tier is not None and key is not None:
-        tier.put_network(key, result)
-    return result

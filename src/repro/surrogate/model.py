@@ -10,7 +10,7 @@ Per GEMM the prediction is ``base * exp(theta . phi)``, clamped to the
 same ``[min_cycles, dense_cycles]`` envelope the engine enforces:
 
 * the **base** term mirrors every deterministic piece of the engine's
-  :func:`~repro.sim.engine._simulate_gemm` arithmetic exactly -- effective
+  :func:`~repro.sim.engine._simulate_gemm_batch` arithmetic exactly -- effective
   sparsity, Sparse.AB downgrades, tile-segment scaling, pipeline drain,
   the speedup floor/cap clamps, and the SRAM stall model -- and replaces
   only the *sampled* mean tile cycles with a closed form: the expected

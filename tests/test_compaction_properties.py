@@ -258,3 +258,123 @@ class TestSeededRandomProperties:
 
     def test_batch_empty_list(self):
         assert compact_schedule_batch([], 2, 1, 1) == []
+        assert compact_schedule_batch([], (), (), (), record=True) == []
+
+
+def check_batch_matches_reference(
+    masks, distances, lane_wrap: bool = True, record: bool = False
+) -> None:
+    """One heterogeneous batch equals the oracle tile by tile, bit for bit."""
+    d1, d2, d3 = zip(*distances)
+    batched = compact_schedule_batch(
+        masks, d1, d2, d3, lane_wrap=lane_wrap, record=record
+    )
+    assert len(batched) == len(masks)
+    for mask, dist, got in zip(masks, distances, batched):
+        want = compact_schedule_reference(
+            mask, *dist, lane_wrap=lane_wrap, return_schedule=record
+        )
+        assert (got.cycles, got.busy_cycles, got.executed_ops, got.borrowed_ops) == (
+            want.cycles, want.busy_cycles, want.executed_ops, want.borrowed_ops,
+        ), (mask.shape, dist)
+        if record:
+            assert got.schedule.dtype == want.schedule.dtype
+            assert got.schedule.shape == want.schedule.shape
+            assert np.array_equal(got.schedule, want.schedule)
+        else:
+            assert got.schedule is None
+
+
+def heterogeneous_batch(rng, lanes: int, c1: int, c2: int):
+    """Ragged masks (some all-zero, some ``T == 0``, some shared objects)
+    with per-tile distances that mix donor and no-donor tiles."""
+    masks, distances = [], []
+    for i in range(int(rng.integers(2, 8))):
+        if i and rng.random() < 0.25:
+            # The same array for another design: deduplicated by identity.
+            masks.append(masks[int(rng.integers(0, i))])
+        else:
+            t_steps = 0 if i % 5 == 4 else int(rng.integers(1, 12))
+            density = 0.0 if i % 4 == 3 else float(rng.uniform(0.0, 1.0))
+            masks.append(make_mask(t_steps, lanes, c1, c2, density, seed=int(rng.integers(1 << 30))))
+        d1 = int(rng.integers(0, 4))
+        if i % 2:
+            distances.append((d1, 0, 0))
+        else:
+            distances.append((d1, int(rng.integers(0, 4)), int(rng.integers(0, 4))))
+    return masks, distances
+
+
+class TestHeterogeneousBatches:
+    """Per-tile distances: one kernel call, each tile equal to the oracle."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    @pytest.mark.parametrize("record", [False, True])
+    def test_matches_reference(self, trial, record):
+        rng = np.random.default_rng(5000 + trial)
+        lanes = int(rng.integers(1, 5))
+        c1 = int(rng.integers(1, 4))
+        c2 = int(rng.integers(1, 3))
+        masks, distances = heterogeneous_batch(rng, lanes, c1, c2)
+        check_batch_matches_reference(
+            masks, distances, lane_wrap=bool(trial % 2), record=record
+        )
+
+    def test_shared_mask_equals_copies(self):
+        # One mask under many designs' distances: each tile borrows only
+        # along its own offsets, and sharing the array changes nothing.
+        mask = make_mask(10, 4, 3, 2, 0.45, seed=11)
+        distances = [(2, 1, 1), (2, 0, 0), (3, 2, 0), (1, 0, 2)]
+        check_batch_matches_reference([mask] * 4, distances, record=True)
+        d1, d2, d3 = zip(*distances)
+        shared = compact_schedule_batch([mask] * 4, d1, d2, d3, record=True)
+        copies = compact_schedule_batch(
+            [mask.copy() for _ in distances], d1, d2, d3, record=True
+        )
+        for a, b in zip(shared, copies):
+            assert (a.cycles, a.busy_cycles, a.borrowed_ops) == (
+                b.cycles, b.busy_cycles, b.borrowed_ops,
+            )
+            assert np.array_equal(a.schedule, b.schedule)
+
+    def test_scalar_distances_broadcast(self):
+        masks = [make_mask(t, 3, 2, 1, 0.5, seed=t) for t in (4, 9, 7)]
+        per_tile = compact_schedule_batch(masks, [2] * 3, [1] * 3, [1] * 3)
+        scalar = compact_schedule_batch(masks, 2, 1, 1)
+        assert per_tile == scalar
+
+    def test_rejects_mismatched_geometry_and_distance_count(self):
+        with pytest.raises(ValueError):
+            compact_schedule_batch([make_mask(4, 2, 2, 1, 0.5, 0),
+                                    make_mask(4, 3, 2, 1, 0.5, 0)])
+        with pytest.raises(ValueError):
+            compact_schedule_batch([make_mask(4, 2, 2, 1, 0.5, 0)] * 3, [1, 2])
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2, 1), (5, 0, 2, 1), (5, 3, 0, 1)])
+    def test_empty_masks_schedule_only_on_request(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        plain = compact_schedule(mask, 2, 1, 1)
+        assert (plain.cycles, plain.executed_ops) == (0, 0)
+        assert plain.schedule is None
+        recorded = compact_schedule(mask, 2, 1, 1, return_schedule=True)
+        assert recorded.schedule is not None and recorded.schedule.size == 0
+        if shape[0] == 0:
+            want = compact_schedule_reference(mask, 2, 1, 1, return_schedule=True)
+            assert recorded.schedule.shape == want.schedule.shape
+            assert recorded.schedule.dtype == want.schedule.dtype
+
+
+if HAVE_HYPOTHESIS:
+
+    class TestHypothesisHeterogeneousBatches:
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        @given(
+            st.integers(0, 2**31),
+            st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 2)),
+            st.booleans(),
+            st.booleans(),
+        )
+        def test_matches_reference(self, seed, dims, wrap, record):
+            rng = np.random.default_rng(seed)
+            masks, distances = heterogeneous_batch(rng, *dims)
+            check_batch_matches_reference(masks, distances, lane_wrap=wrap, record=record)

@@ -5,7 +5,11 @@ import pytest
 
 from repro.config import sparse_ab
 from repro.sim.compaction import compact_schedule
-from repro.sim.dual import dual_sparse_cycles, filtered_pair_mask
+from repro.sim.dual import (
+    dual_sparse_cycles,
+    dual_sparse_cycles_batch,
+    filtered_pair_mask,
+)
 
 
 def masks(seed, t=20, lanes=8, m=4, n=6, pa=0.5, pb=0.3):
@@ -106,3 +110,6 @@ class TestDualCycles:
         dual = dual_sparse_cycles(a, b, cfg)
         assert dual.executed_pairs == 0
         assert dual.cycles >= 1
+
+    def test_empty_batch(self):
+        assert dual_sparse_cycles_batch([], []) == []

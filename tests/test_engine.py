@@ -11,6 +11,7 @@ from repro.config import (
     sparse_ab,
     sparse_b,
 )
+from repro.sim import engine
 from repro.sim.engine import (
     SimulationOptions,
     simulate_layer,
@@ -61,6 +62,12 @@ class TestSimulateTile:
         off = simulate_tile(sparse_b(6, 0, 0), b_mask=b)
         on = simulate_tile(sparse_b(6, 0, 0, shuffle=True), b_mask=b)
         assert on.cycles < off.cycles
+
+    def test_empty_tile_batch(self):
+        assert engine._tile_cycles_batch([], []) == []
+        assert engine._tile_cycles_batch([sparse_b(4, 0, 1)], []) == [[]]
+        b = np.zeros((8, 16, 16), dtype=bool)
+        assert engine._tile_cycles_batch([], [(None, b)]) == []
 
 
 class TestSimulateNetwork:
@@ -114,11 +121,11 @@ class TestSimulateNetwork:
 
     def test_repeated_layers_hit_cache(self):
         # BERT's 12 identical encoders simulate as 2 unique layers.
-        from repro.sim.engine import _simulate_layer_cached
+        from repro.sim.engine import _layer_memo
 
-        _simulate_layer_cached.cache_clear()
+        _layer_memo.cache_clear()
         simulate_network(bert_base(), sparse_b(4, 0, 0), ModelCategory.B, FAST)
-        info = _simulate_layer_cached.cache_info()
+        info = _layer_memo.cache_info()
         assert info.misses <= 4
         assert info.hits >= 20
 
@@ -137,7 +144,7 @@ class TestSimulateLayerNames:
         # Two layers identical up to the display name must share one cache
         # entry yet each come back under their own name.
         from repro.gemm.layers import GemmShape
-        from repro.sim.engine import _simulate_layer_cached
+        from repro.sim.engine import _layer_memo
         from repro.workloads.models import NetworkLayer, RawGemmSpec
 
         shapes = (GemmShape(m=48, k=160, n=48),)
@@ -149,10 +156,10 @@ class TestSimulateLayerNames:
             spec=RawGemmSpec(name="enc7.attn", shapes=shapes),
             weight_density=0.3, act_density=1.0,
         )
-        _simulate_layer_cached.cache_clear()
+        _layer_memo.cache_clear()
         res_a = simulate_layer(first, sparse_b(4, 0, 0), ModelCategory.B, FAST)
         res_b = simulate_layer(twin, sparse_b(4, 0, 0), ModelCategory.B, FAST)
-        info = _simulate_layer_cached.cache_info()
+        info = _layer_memo.cache_info()
         assert info.misses == 1 and info.hits == 1
         assert res_a.name == "enc0.attn" and res_b.name == "enc7.attn"
         assert res_a.cycles == res_b.cycles

@@ -111,7 +111,7 @@ def _layer(gemm: GemmShape) -> NetworkLayer:
 
 
 def _scheduled_pairs(monkeypatch, gemm, config, category):
-    """The pairs ``_simulate_gemm`` hands to the scheduler."""
+    """The pairs ``_simulate_gemm_batch`` hands to the scheduler."""
     seen = []
     real = engine._tile_cycles_batch
 
@@ -121,7 +121,7 @@ def _scheduled_pairs(monkeypatch, gemm, config, category):
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_tile_cycles_batch", capture)
-        engine._simulate_gemm(gemm, _layer(gemm), config, category, OPTIONS)
+        engine._simulate_gemm_batch(gemm, _layer(gemm), [config], category, OPTIONS)
     return seen[-1]
 
 
